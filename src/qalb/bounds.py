@@ -14,19 +14,11 @@ from math import sqrt
 import numpy as np
 
 from .errors import DiscriminantNotClosed, NegativeRadicand
+from .hermite import hermite_he
 
 Z_CLAMP = 1e12
 
 VARIANTS = ("inflate_c0", "inflate_a")
-
-
-def _monic_hermite(n, x):
-    """Probabilists' (monic) Hermite polynomial He_n on an array."""
-    x = np.asarray(x, dtype=float)
-    pm, p = np.zeros_like(x), np.ones_like(x)
-    for k in range(n):
-        pm, p = p, x * p - k * pm
-    return p
 
 
 def epsilon_N_detail(N, grid_points=10000):
@@ -41,7 +33,7 @@ def epsilon_N_detail(N, grid_points=10000):
     fact = 1.0
     for k in range(2, N + 1):
         fact *= k
-    vals = np.abs(_monic_hermite(N + 1, grid)) / (
+    vals = np.abs(hermite_he(N + 1, grid)[-1]) / (
         2.0 ** (N / 2.0) * sqrt(fact) * 2.0
     )
     k = int(np.argmax(vals))

@@ -10,8 +10,8 @@ from math import exp, factorial, pi, sqrt
 
 import numpy as np
 
-from . import _accel
 from .errors import TauTooSmall, ZeroDensity
+from .hermite import hermite_h
 from .lattice import build_lattice
 
 _NAME_BY_Q = {3: "D1Q3", 9: "D2Q9", 27: "D3Q27"}
@@ -50,19 +50,22 @@ def site_moments(f, model):
     return rho, u
 
 
-def equilibrium(f, model):
-    """Quadratic equilibrium rho w_i (1 + 3 c.u + 9/2 (c.u)^2 - 3/2 u.u).
-
-    The velocity is the rho-normalized moment of f, so rescaling f scales
-    the equilibrium by the same factor and Sum_i feq_i reproduces rho.
-    """
-    f = np.asarray(f, dtype=float)
-    rho, u = site_moments(f, model)
+def _equilibrium(model, rho, u):
+    """Quadratic equilibrium rho w_i (1 + 3 c.u + 9/2 (c.u)^2 - 3/2 u.u)."""
     cu = u @ model.velocities.T.astype(float)
     uu = np.einsum("...d,...d->...", u, u)
     return rho[..., None] * model.weights * (
         1.0 + 3.0 * cu + 4.5 * cu * cu - 1.5 * uu[..., None]
     )
+
+
+def equilibrium(f, model):
+    """Quadratic equilibrium of f at its own density and velocity.
+
+    The velocity is the rho-normalized moment of f, so rescaling f scales
+    the equilibrium by the same factor and Sum_i feq_i reproduces rho.
+    """
+    return _equilibrium(model, *site_moments(f, model))
 
 
 @dataclass(frozen=True)
@@ -100,12 +103,7 @@ class DistributionField:
     def from_equilibrium(cls, model, rho, u):
         rho = np.asarray(rho, dtype=float)
         u = np.asarray(u, dtype=float)
-        cu = u @ model.velocities.T.astype(float)
-        uu = np.einsum("...d,...d->...", u, u)
-        data = rho[..., None] * model.weights * (
-            1.0 + 3.0 * cu + 4.5 * cu * cu - 1.5 * uu[..., None]
-        )
-        return cls(model, data)
+        return cls(model, _equilibrium(model, rho, u))
 
 
 def moments(fld):
@@ -118,19 +116,16 @@ def collide(fld, tau, dt):
     """One BGK relaxation step f <- f - (dt/tau)(f - feq) at every site.
 
     Density and velocity are invariant; the guard tau > dt/2 keeps the
-    relaxation factor 1 - dt/tau inside (-1, 1).  Returns a new field.
+    relaxation factor 1 - dt/tau inside (-1, 1).  ZeroDensity guards
+    positivity.  Returns a new field.
     """
     if tau <= dt / 2.0:
         raise TauTooSmall(f"tau must exceed dt/2 = {dt / 2.0}, got {tau}")
     m = fld.model
-    rho = fld.data.sum(axis=-1)
-    if np.any(rho <= 0.0):
-        raise ZeroDensity("density must be positive at every site")
-    flat = fld.data.reshape(-1, m.Q).copy()
-    _accel.grid_collide(
-        flat, m.velocities.astype(float), m.weights, dt / tau
-    )
-    return DistributionField(m, flat.reshape(fld.data.shape))
+    # one (sites, Q) matrix: stacked matmul sums the moments in another order
+    f = fld.data.reshape(-1, m.Q)
+    out = f - (dt / tau) * (f - equilibrium(f, m))
+    return DistributionField(m, out.reshape(fld.data.shape))
 
 
 def stream(fld):
@@ -176,16 +171,23 @@ def evolve_0d(f0, tau, dt, steps):
     return hist
 
 
-def _hermite_sequence(kmax, x):
-    """Physicists' Hermite polynomials H_0..H_kmax evaluated at x."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty((kmax + 1,) + x.shape)
-    out[0] = 1.0
-    if kmax >= 1:
-        out[1] = 2.0 * x
-    for k in range(1, kmax):
-        out[k + 1] = 2.0 * x * out[k] - 2.0 * k * out[k - 1]
-    return out
+def _gaussian(v, RT):
+    """(2 pi RT)^(-d/2) exp(-v.v / (2 RT)) for a d-vector v."""
+    return (2.0 * pi * RT) ** (-len(v) / 2.0) * exp(
+        -float(v @ v) / (2.0 * RT)
+    )
+
+
+def _bracket(c, u, RT, kmax):
+    """Product over axes mu of Sum_k (u_mu/s)^k / k! H_k(c_mu/s), with
+    s = sqrt(2 RT)."""
+    s = sqrt(2.0 * RT)
+    b = 1.0
+    for mu in range(len(c)):
+        H = hermite_h(kmax, c[mu] / s)
+        t = u[mu] / s
+        b *= sum(t ** k / factorial(k) * float(H[k]) for k in range(kmax + 1))
+    return b
 
 
 def hermite_expansion_point(c, u, RT, kmax):
@@ -198,23 +200,13 @@ def hermite_expansion_point(c, u, RT, kmax):
     """
     c = np.atleast_1d(np.asarray(c, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    d = c.shape[0]
-    s = sqrt(2.0 * RT)
-    pref = (2.0 * pi * RT) ** (-d / 2.0) * exp(-float(c @ c) / (2.0 * RT))
-    bracket = 1.0
-    for mu in range(d):
-        H = _hermite_sequence(kmax, c[mu] / s)
-        t = u[mu] / s
-        bracket *= sum(t ** k / factorial(k) * float(H[k]) for k in range(kmax + 1))
-    return pref * bracket
+    return _gaussian(c, RT) * _bracket(c, u, RT, kmax)
 
 
 def maxwell_boltzmann(c, u, RT):
     c = np.atleast_1d(np.asarray(c, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    d = c.shape[0]
-    dv = c - u
-    return (2.0 * pi * RT) ** (-d / 2.0) * exp(-float(dv @ dv) / (2.0 * RT))
+    return _gaussian(c - u, RT)
 
 
 @dataclass(frozen=True)
@@ -240,21 +232,9 @@ def hermite_equilibrium_expansion(u, RT, kmax):
         raise ValueError(f"kmax must be nonnegative, got {kmax}")
     u = np.atleast_1d(np.asarray(u, dtype=float))
     model = model_for_dim(u.shape[0])
-    s = sqrt(2.0 * RT)
-    Q, D = model.Q, model.D
-    pref = np.empty(Q)
-    bracket = np.empty(Q)
-    for i in range(Q):
-        c = model.velocities[i].astype(float)
-        pref[i] = (2.0 * pi * RT) ** (-D / 2.0) * exp(
-            -float(c @ c) / (2.0 * RT)
-        )
-        b = 1.0
-        for mu in range(D):
-            H = _hermite_sequence(kmax, c[mu] / s)
-            t = u[mu] / s
-            b *= sum(t ** k / factorial(k) * float(H[k]) for k in range(kmax + 1))
-        bracket[i] = b
+    c = model.velocities.astype(float)
+    pref = np.array([_gaussian(ci, RT) for ci in c])
+    bracket = np.array([_bracket(ci, u, RT, kmax) for ci in c])
     return HermiteEquilibrium(
         values=pref * bracket, bracket=bracket, prefactor=pref
     )

@@ -5,8 +5,9 @@ overrides win over the file.  Unknown keys are rejected with the line
 they came from.  Every successful run writes its data file plus a
 `.meta` sidecar echoing the effective configuration and the artifact
 version, so identical configs reproduce identical bytes.  Exit codes:
-0 success, 2 config error, 3 numeric guard violation, 4 divergence
-flagged but the data was still written.
+0 success, 2 config or I/O error (including a ValueError from the library
+on an input the schema let through), 3 numeric guard violation, 4
+divergence flagged but the data was still written.
 """
 
 import argparse
@@ -622,11 +623,14 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"I/O error: {exc}", file=sys.stderr)
         return 2
     except QalbError as exc:
         print(f"numeric guard: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

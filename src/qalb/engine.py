@@ -310,7 +310,6 @@ def collision_increments(setup, psi):
 class EvolutionResult:
     times: np.ndarray
     decoded: np.ndarray  # (steps + 1, Q)
-    decoded_corrected: np.ndarray
     norms: np.ndarray
     norms_corrected: np.ndarray
     classical: np.ndarray  # Euler reference marched at the same dt
@@ -331,9 +330,9 @@ def evolve_quantum_0d(setup, f0, steps, mode="nonhermitian", init="exact"):
     Preconditions: the populations sum to one and each lies in [-1, 1].
     Divergence never raises; the result carries the first flagged step and
     its reason, and the series keep whatever could still be computed.  In
-    hermitized mode the corrected series reapply the dissipation factor
+    hermitized mode the corrected norms reapply the dissipation factor
     that the symmetrization removed; the amplitude-ratio decode is scale
-    free, so only the norms can show it.
+    free, so the decoded series needs no correction.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -355,12 +354,10 @@ def evolve_quantum_0d(setup, f0, steps, mode="nonhermitian", init="exact"):
     flag_step = 0 if flagged else None
     flag_reason = "operator-norm certificate" if flagged else None
     decoded = np.full((steps + 1, Q), np.nan)
-    corrected = np.full((steps + 1, Q), np.nan)
     norms = np.empty(steps + 1)
     norms_corr = np.empty(steps + 1)
     vals, ok = decode_state(setup, psi)
     decoded[0] = vals
-    corrected[0] = vals
     norms[0] = np.linalg.norm(psi)
     norms_corr[0] = norms[0]
     ratio_bound = bound * CERTIFICATE_MARGIN
@@ -389,9 +386,6 @@ def evolve_quantum_0d(setup, f0, steps, mode="nonhermitian", init="exact"):
             flag_step = t
             flag_reason = reason
         decoded[t] = vals
-        # scaling the state by the dissipation factor cannot move a ratio
-        cvals, _ = decode_state(setup, psi * factor)
-        corrected[t] = cvals
     cls = classical.evolve_0d(f0, tau, dt, steps)
     rel = np.empty(steps + 1)
     for t in range(steps + 1):
@@ -400,7 +394,6 @@ def evolve_quantum_0d(setup, f0, steps, mode="nonhermitian", init="exact"):
     return EvolutionResult(
         times=np.arange(steps + 1) * dt,
         decoded=decoded,
-        decoded_corrected=corrected,
         norms=norms,
         norms_corrected=norms_corr,
         classical=cls,

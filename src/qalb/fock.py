@@ -19,6 +19,7 @@ from .errors import (
     OutOfRange,
     TooLarge,
 )
+from .hermite import hermite_h
 
 _MAX_QUBITS_DENSE = 12
 
@@ -89,16 +90,6 @@ def commutator(A, B):
     return A @ B - B @ A
 
 
-def _hermite_phys_all(nmax, x):
-    vals = np.empty(nmax + 1)
-    vals[0] = 1.0
-    if nmax >= 1:
-        vals[1] = 2.0 * x
-    for k in range(1, nmax):
-        vals[k + 1] = 2.0 * x * vals[k] - 2.0 * k * vals[k - 1]
-    return vals
-
-
 def encode_value(f, cfg):
     """Normalized truncated position eigenstate carrying the value f.
 
@@ -109,7 +100,7 @@ def encode_value(f, cfg):
     if not -1.0 <= f <= 1.0:
         raise OutOfRange(f"encoded value must lie in [-1, 1], got {f}")
     N = cfg.N
-    H = _hermite_phys_all(N, float(f))
+    H = hermite_h(N, float(f))
     amp = np.empty(N + 1)
     fact = 1.0
     for n in range(N + 1):

@@ -4,7 +4,9 @@ The recurrence coefficients gamma_n have no closed form on a finite
 window; they come from high-precision moment quadrature and Gram-Schmidt
 on monomials, and they satisfy a family of Laguerre-Freud relations that
 the tests pin down.  As z grows the window stops mattering and
-gamma_n -> n/2, the full-line Hermite value.
+gamma_n -> n/2, the full-line Hermite value.  The same monic recurrence
+with gamma_n = n/2 or gamma_n = n gives the package its physicists' and
+probabilists' Hermite polynomials.
 """
 
 from dataclasses import dataclass
@@ -39,51 +41,44 @@ class TruncatedHermiteBasis:
             raise ValueError("every gamma_n must be positive")
 
 
-def window_moments(z, kmax, dps=50, tol=1e-12):
-    """Moments m_k = int_{-z}^{z} x^k e^{-x^2} dx as floats."""
+def _mp_moments(z, kmax, tol):
+    """m_0..m_kmax as mpf at the caller's working precision."""
     if z <= 0.0:
         raise ValueError(f"z must be positive, got {z}")
+    zz = mpmath.mpf(z)
     out = []
-    with mpmath.workdps(dps):
-        zz = mpmath.mpf(z)
-        for k in range(kmax + 1):
-            val, err = mpmath.quad(
-                lambda x, k=k: x ** k * mpmath.e ** (-x * x),
-                [-zz, 0, zz],
-                error=True,
+    for k in range(kmax + 1):
+        val, err = mpmath.quad(
+            lambda x, k=k: x ** k * mpmath.e ** (-x * x),
+            [-zz, 0, zz],
+            error=True,
+        )
+        if abs(err) > tol:
+            raise QuadratureFailure(
+                f"moment {k}: quadrature error {err} exceeds {tol}"
             )
-            if abs(err) > tol:
-                raise QuadratureFailure(
-                    f"moment {k}: quadrature error {err} exceeds {tol}"
-                )
-            out.append(val)
+        out.append(val)
+    return out
+
+
+def window_moments(z, kmax, dps=50, tol=1e-12):
+    """Moments m_k = int_{-z}^{z} x^k e^{-x^2} dx as floats."""
+    with mpmath.workdps(dps):
+        out = _mp_moments(z, kmax, tol)
     return np.array([float(v) for v in out])
 
 
 def gamma_sequence_oracle(z, nmax, dps=50, tol=1e-12):
     """gamma_1..gamma_nmax by brute force: quadrature moments, then
     Gram-Schmidt on the monomials, then norm ratios
-    gamma_n = <P_n, P_n> / <P_{n-1}, P_{n-1}>."""
+    gamma_n = <P_n, P_n> / <P_{n-1}, P_{n-1}>.  The moments stay at the
+    working precision; rounding them to floats first would move gamma."""
     if nmax < 1:
         raise ValueError(f"nmax must be >= 1, got {nmax}")
     if nmax > _MAX_N:
         raise TooLarge(f"nmax {nmax} exceeds {_MAX_N}")
-    if z <= 0.0:
-        raise ValueError(f"z must be positive, got {z}")
     with mpmath.workdps(dps):
-        zz = mpmath.mpf(z)
-        moments = []
-        for k in range(2 * nmax + 1):
-            val, err = mpmath.quad(
-                lambda x, k=k: x ** k * mpmath.e ** (-x * x),
-                [-zz, 0, zz],
-                error=True,
-            )
-            if abs(err) > tol:
-                raise QuadratureFailure(
-                    f"moment {k}: quadrature error {err} exceeds {tol}"
-                )
-            moments.append(val)
+        moments = _mp_moments(z, 2 * nmax, tol)
 
         def inner(p, q):
             acc = mpmath.mpf(0)
@@ -129,18 +124,38 @@ def _gamma(gams, n):
     return float(gams[n - 1])
 
 
-def _evaluate(gams, n, x):
-    """P_n(x) from the three-term recurrence; gams holds gamma_1.. ."""
+def monic_sequence(gams, n, x):
+    """P_0..P_n at x, stacked on a new leading axis, from the monic
+    three-term recurrence P_{k+1} = x P_k - gamma_k P_{k-1}; gams holds
+    gamma_1.. ."""
     if n > len(gams) + 1:
         raise ValueError(f"need gamma_1..gamma_{n - 1}, got {len(gams)}")
     x = np.asarray(x, dtype=float)
-    pm = np.ones_like(x)  # P_0
-    if n == 0:
-        return pm
-    p = x.copy()  # P_1
+    out = np.empty((n + 1,) + x.shape)
+    out[0] = 1.0
+    if n >= 1:
+        out[1] = x
     for k in range(1, n):
-        pm, p = p, x * p - gams[k - 1] * pm
-    return p
+        out[k + 1] = x * out[k] - gams[k - 1] * out[k - 1]
+    return out
+
+
+def hermite_he(n, x):
+    """Probabilists' He_0..He_n at x: the monic family with gamma_k = k."""
+    return monic_sequence(np.arange(1.0, n + 1), n, x)
+
+
+def hermite_h(n, x):
+    """Physicists' H_0..H_n at x: the monic family with gamma_k = k/2,
+    scaled by 2^k, which is exact in binary floating point."""
+    p = monic_sequence(np.arange(1.0, n + 1) / 2.0, n, x)
+    k = np.arange(n + 1).reshape((-1,) + (1,) * (p.ndim - 1))
+    return np.ldexp(p, k)
+
+
+def _evaluate(gams, n, x):
+    """P_n(x) from the three-term recurrence; gams holds gamma_1.. ."""
+    return monic_sequence(gams, n, x)[n]
 
 
 def _evaluate_with_derivative(gams, n, x):

@@ -59,6 +59,14 @@ def test_collide_tau_guard():
         classical.collide(fld, 0.05, 0.1)
 
 
+def test_collide_zero_density_guard():
+    data = np.ones((4, 3))
+    data[2] = 0.0
+    fld = classical.DistributionField(D1Q3, data)
+    with pytest.raises(ZeroDensity):
+        classical.collide(fld, 0.7, 0.1)
+
+
 def test_collide_fixed_point():
     data = classical.DistributionField.from_equilibrium(
         D2Q9, np.full((3, 3), 1.2), np.full((3, 3, 2), 0.04)

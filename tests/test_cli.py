@@ -172,3 +172,37 @@ def test_quantum_flagged_exit_code(tmp_path, monkeypatch):
     )
     assert code == 4
     assert out.exists()
+
+
+_COMMANDS = tuple(cli._COMMANDS)  # all six subcommands
+_STEPS_KEY = {"complexity": "T"}
+
+# (subcommand, --set items, output path under tmp_path, stderr label)
+_BAD_RUNS = (
+    [
+        ("quantum", ["f0=0.5,0.2,0.2"], "x.csv", "config error:"),
+        ("streaming-demo", ["sites=6", "marker=1"], "x.txt", "config error:"),
+    ]
+    + [(cmd, ["bogus=1"], "x.csv", "config error:") for cmd in _COMMANDS]
+    + [
+        (cmd, [f"{_STEPS_KEY.get(cmd, 'steps')}=-1"], "x.csv", "config error:")
+        for cmd in _COMMANDS
+    ]
+    + [(cmd, [], "missing/x.csv", "I/O error:") for cmd in _COMMANDS]
+)
+
+
+@pytest.mark.parametrize(
+    "command,sets,out,label",
+    _BAD_RUNS,
+    ids=[f"{c}-{'-'.join(s) or o}" for c, s, o, _ in _BAD_RUNS],
+)
+def test_bad_inputs_exit_cleanly(tmp_path, capsys, command, sets, out, label):
+    argv = [command, "--out", str(tmp_path / out)]
+    for item in sets:
+        argv += ["--set", item]
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code in (2, 3)
+    assert "Traceback" not in err
+    assert err.startswith(label)
