@@ -11,6 +11,7 @@ divergence flagged but the data was still written.
 """
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -270,12 +271,12 @@ def write_sidecar(path, subcommand, values):
 
 def cmd_classical(config):
     model = build_lattice(config.lattice.upper())
-    f0 = resolve_f0(config.f0, model)
     ucols = [f"u_{d}" for d in range(model.D)]
     fcols = [f"f_{i}" for i in range(model.Q)]
     rows = []
     if config.extra["run"] == "0d":
         header = ["t"] + fcols + ["rho"] + ucols
+        f0 = resolve_f0(config.f0, model)
         series = classical.evolve_0d(f0, config.tau, config.dt, config.steps)
         for k in range(config.steps + 1):
             rho, u = classical.site_moments(series[k], model)
@@ -572,6 +573,9 @@ def _run(args):
             "an output path is required: pass --out or set out= in the config"
         )
     values["out"] = out
+    # fail before computing anything when the output cannot be written
+    if not os.access(os.path.dirname(out) or ".", os.W_OK):
+        raise OSError(f"cannot write to the directory of {out!r}")
     config = RunConfig(
         experiment=values["experiment"],
         lattice=values.get("lattice", "d1q3"),

@@ -7,6 +7,11 @@ populations, and one global generator H = sum_i p_i Omega_i advances every
 mode at once.  H is not Hermitian; its symmetrized half-anticommutator
 variant trades faithfulness of the increments for unitarity, leaving a
 known constant dissipation rate to compensate in post-processing.
+
+With p = iP and P real, -i dt H = dt sum_i P_i Omega_i is real, so the
+engine works in real arithmetic throughout: generators, propagators and
+states.  Every operator is a sum of Kronecker products of one-mode factors
+P^p q^k, assembled from one term list per population.
 """
 
 from dataclasses import dataclass, field
@@ -24,8 +29,6 @@ CERTIFICATE_MARGIN = 1.01
 MODES = ("nonhermitian", "hermitized")
 
 _DIM_LIMIT = 4096
-# beyond this register size, lifted operators are rebuilt instead of cached
-_CACHE_DIM = 2048
 
 
 def phase_space_divergence(model, tau):
@@ -56,27 +59,22 @@ def relative_error(quantum, reference):
     return out, int(np.count_nonzero(~mask))
 
 
-def _lift(op, mode, Q, dim):
-    """Embed a one-mode operator at slot `mode` of a Q-mode register."""
-    out = np.array([[1.0 + 0j]]) if np.iscomplexobj(op) else np.array([[1.0]])
-    eye = np.eye(dim, dtype=out.dtype)
-    for m in range(Q):
-        out = np.kron(out, op if m == mode else eye)
-    return out
-
-
 def _sigma_max(U, iters=120, seed=7):
+    """Power iteration on U^T U from a seeded complex start vector, carried
+    as its real and imaginary parts because U is real."""
     rng = np.random.default_rng(seed)
     v = rng.normal(size=U.shape[0]) + 1j * rng.normal(size=U.shape[0])
     v /= np.linalg.norm(v)
-    Uh = U.conj().T
+    re, im = v.real, v.imag
     s = 0.0
     for _ in range(iters):
-        w = Uh @ (U @ v)
-        nw = np.linalg.norm(w)
+        re = U.T @ (U @ re)
+        im = U.T @ (U @ im)
+        nw = np.hypot(np.linalg.norm(re), np.linalg.norm(im))
         if nw == 0.0:
             return 0.0
-        v = w / nw
+        re /= nw
+        im /= nw
         s = nw
     return float(np.sqrt(s))
 
@@ -85,9 +83,8 @@ def _sigma_max(U, iters=120, seed=7):
 class CollisionSetup:
     """A lattice model bound to per-mode registers and a relaxation clock.
 
-    modes counts the encoded populations (one bosonic mode each); derived
-    operators are memoized on the instance for registers small enough to
-    keep around.
+    modes counts the encoded populations (one bosonic mode each);
+    propagators and certificates are memoized on the instance.
     """
 
     model: object
@@ -127,71 +124,92 @@ def make_setup(model, qubits, tau=1.0, dt=1e-3):
     return CollisionSetup(model=model, cfg=fock.FockConfig(qubits), tau=tau, dt=dt)
 
 
-def _velocity_operators(setup):
-    """Lifted per-axis velocity operators and their square sum."""
-    cached = setup._cache.get("u")
-    if cached is not None:
-        return cached
-    Q, D = setup.model.Q, setup.model.D
-    dim = setup.cfg.levels
-    total = setup.dim
+def _factors(cfg):
+    """One-mode factors P^p q^k keyed by (p, k), p <= 1 and k <= 2, with
+    P = (a^T - a)/sqrt(2) the real matrix of p = iP."""
+    a = fock.a_matrix(cfg)
+    P = (a.T - a) / sqrt(2.0)
+    q = fock.q_matrix(cfg)
+    qk = (np.eye(cfg.levels), q, q @ q)
+    return {(p, k): P @ qk[k] if p else qk[k] for p in (0, 1) for k in range(3)}
+
+
+def _equilibrium_terms(setup, i, p_mode=None):
+    """The equilibrium of population i at unit density,
+    w_i (1 + 3 c_i.u_hat + 9/2 (c_i.u_hat)^2 - 3/2 u_hat.u_hat) with
+    u_hat = sum_j c_j q_j, as {factor key (p, k) on each mode: coefficient};
+    P multiplies mode p_mode from the left."""
+    Q = setup.modes
     c = setup.model.velocities.astype(float)
-    q1 = fock.q_matrix(setup.cfg)
-    u_axes = []
-    for d in range(D):
-        acc = np.zeros((total, total))
-        for j in range(Q):
-            if c[j, d] != 0.0:
-                acc += c[j, d] * _lift(q1, j, Q, dim)
-        u_axes.append(acc)
-    u_sq = np.zeros((total, total))
-    for d in range(D):
-        u_sq += u_axes[d] @ u_axes[d]
-    out = (u_axes, u_sq)
-    if total <= _CACHE_DIM:
-        setup._cache["u"] = out
-    return out
+    cc = c @ c.T
+    w = setup.model.weights[i]
+    terms = {}
+
+    def add(modes, coef):
+        key = tuple((int(m == p_mode), modes.count(m)) for m in range(Q))
+        terms[key] = terms.get(key, 0.0) + w * coef
+
+    add((), 1.0)
+    for j in range(Q):
+        add((j,), 3.0 * cc[i, j])
+        for k in range(Q):
+            add((j, k), 4.5 * cc[i, j] * cc[i, k] - 1.5 * cc[j, k])
+    return terms
+
+
+def _omega_terms(setup, i, p_mode=None):
+    """-(1/tau)(q_i - feq_i(u_hat)) in the form of _equilibrium_terms."""
+    feq = _equilibrium_terms(setup, i, p_mode)
+    terms = {key: coef / setup.tau for key, coef in feq.items()}
+    q_i = tuple((int(m == p_mode), int(m == i)) for m in range(setup.modes))
+    terms[q_i] = terms.get(q_i, 0.0) - 1.0 / setup.tau
+    return terms
+
+
+def _kron_sum(terms, factors):
+    """Dense sum of coef * kron(factors[key_0], ..., factors[key_last]).
+
+    Terms are grouped by their leading key, so each distinct leading factor
+    costs one full-size Kronecker product.
+    """
+    if not next(iter(terms)):
+        return np.array([[sum(terms.values())]])
+    groups = {}
+    for keys, coef in terms.items():
+        groups.setdefault(keys[0], {})[keys[1:]] = coef
+    return sum(
+        np.kron(factors[key], _kron_sum(rest, factors))
+        for key, rest in groups.items()
+    )
 
 
 def equilibrium_operator(setup, i):
     """Operator form of the quadratic equilibrium of population i at unit
     density: w_i (I + 3 c_i.u_hat + 9/2 (c_i.u_hat)^2 - 3/2 u_hat.u_hat)."""
-    Q, D = setup.model.Q, setup.model.D
-    total = setup.dim
-    c = setup.model.velocities.astype(float)
-    u_axes, u_sq = _velocity_operators(setup)
-    cu = np.zeros((total, total))
-    for d in range(D):
-        if c[i, d] != 0.0:
-            cu += c[i, d] * u_axes[d]
-    return setup.model.weights[i] * (
-        np.eye(total) + 3.0 * cu + 4.5 * (cu @ cu) - 1.5 * u_sq
-    )
+    return _kron_sum(_equilibrium_terms(setup, i), _factors(setup.cfg))
 
 
 def omega_operator(setup, i):
     """BGK relaxation generator of population i,
     -(1/tau)(q_i - feq_i(u_hat))."""
-    Q = setup.model.Q
-    dim = setup.cfg.levels
-    q_i = _lift(fock.q_matrix(setup.cfg), i, Q, dim)
-    return -(q_i - equilibrium_operator(setup, i)) / setup.tau
+    return _kron_sum(_omega_terms(setup, i), _factors(setup.cfg))
+
+
+def generator(setup, mode):
+    """Real G with propagator = expm(dt G): sum_i P_i Omega_i, or its
+    antisymmetric half (G - G^T)/2 in hermitized mode."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    terms = {}
+    for i in range(setup.modes):
+        terms.update(_omega_terms(setup, i, p_mode=i))
+    G = _kron_sum(terms, _factors(setup.cfg))
+    return G if mode == "nonhermitian" else 0.5 * (G - G.T)
 
 
 def hamiltonian_nonhermitian(setup):
-    """Faithful generator H = sum_i p_i Omega_i."""
-    cached = setup._cache.get("H:nonhermitian")
-    if cached is not None:
-        return cached
-    Q = setup.model.Q
-    dim = setup.cfg.levels
-    total = setup.dim
-    p1 = fock.p_matrix(setup.cfg)
-    H = np.zeros((total, total), dtype=complex)
-    for i in range(Q):
-        H += _lift(p1, i, Q, dim) @ omega_operator(setup, i)
-    setup._cache["H:nonhermitian"] = H
-    return H
+    """Faithful generator H = sum_i p_i Omega_i = i G."""
+    return 1j * generator(setup, "nonhermitian")
 
 
 def hamiltonian_hermitized(setup):
@@ -201,32 +219,16 @@ def hamiltonian_hermitized(setup):
     every Omega_i is real symmetric; the anti-Hermitian remainder of H is
     the phase-space divergence -(Q - D)/tau up to truncation defects.
     """
-    cached = setup._cache.get("H:hermitized")
-    if cached is None:
-        H = hamiltonian_nonhermitian(setup)
-        cached = 0.5 * (H + H.conj().T)
-        setup._cache["H:hermitized"] = cached
-    return cached, phase_space_divergence(setup.model, setup.tau)
+    div = phase_space_divergence(setup.model, setup.tau)
+    return 1j * generator(setup, "hermitized"), div
 
 
 def propagator(setup, mode):
-    """One-step propagator expm(-i dt H) for the chosen generator."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+    """One-step propagator expm(dt G) = expm(-i dt H), a real matrix."""
     key = ("U", mode)
-    cached = setup._cache.get(key)
-    if cached is not None:
-        return cached
-    if mode == "nonhermitian":
-        H = hamiltonian_nonhermitian(setup)
-    else:
-        H, _ = hamiltonian_hermitized(setup)
-    U = expm(-1j * setup.dt * H)
-    setup._cache[key] = U
-    if setup.dim > _CACHE_DIM:
-        setup._cache.pop("H:nonhermitian", None)
-        setup._cache.pop("H:hermitized", None)
-    return U
+    if key not in setup._cache:
+        setup._cache[key] = expm(setup.dt * generator(setup, mode))
+    return setup._cache[key]
 
 
 def certificate(setup, mode):
@@ -238,35 +240,29 @@ def certificate(setup, mode):
     Returns (sigma_max, growth_bound, flagged).
     """
     key = ("cert", mode)
-    cached = setup._cache.get(key)
-    if cached is not None:
-        return cached
-    U = propagator(setup, mode)
-    smax = _sigma_max(U)
-    bound = dissipation_factor(1.0, setup.dt, setup.tau, setup.model.Q, setup.model.D)
-    out = (smax, bound, smax > bound * CERTIFICATE_MARGIN)
-    setup._cache[key] = out
-    return out
+    if key not in setup._cache:
+        smax = _sigma_max(propagator(setup, mode))
+        model = setup.model
+        bound = dissipation_factor(1.0, setup.dt, setup.tau, model.Q, model.D)
+        setup._cache[key] = (smax, bound, smax > bound * CERTIFICATE_MARGIN)
+    return setup._cache[key]
 
 
 def initial_state(setup, f0, init="exact"):
-    """Product state over modes: exact value encoding, or the translation
-    of the vacuum by expm(-i f p), which lands at half the value."""
+    """Real product state over modes: exact value encoding, or the
+    translation of the vacuum by expm(-i f p) = expm(f P), which lands at
+    half the value."""
     cfg = setup.cfg
-    dim = cfg.levels
-    psi = np.array([1.0 + 0j])
+    psi = np.ones(1)
     for f in f0:
         if init == "exact":
-            vec = fock.encode_value(float(f), cfg).astype(complex)
+            vec = fock.encode_value(float(f), cfg)
         elif init == "translation":
             if not -1.0 <= f <= 1.0:
                 raise OutOfRange(
                     f"encoded value must lie in [-1, 1], got {f}"
                 )
-            p1 = fock.p_matrix(cfg)
-            vac = np.zeros(dim, dtype=complex)
-            vac[0] = 1.0
-            vec = expm(-1j * float(f) * p1) @ vac
+            vec = expm(float(f) * _factors(cfg)[1, 0])[:, 0]
         else:
             raise ValueError(f"unknown init {init!r}")
         psi = np.kron(psi, vec)
@@ -279,30 +275,27 @@ def decode_state(setup, psi):
     exactly zero the values are NaN and ok is False."""
     Q = setup.model.Q
     dim = setup.cfg.levels
-    if abs(psi[0]) == 0.0:
+    if psi[0] == 0.0:
         return np.full(Q, np.nan), False
-    vals = np.empty(Q)
-    for m in range(Q):
-        stride = dim ** (Q - 1 - m)
-        vals[m] = (complex(psi[stride]) / complex(psi[0])).real / sqrt(2.0)
-    return vals, True
+    strides = dim ** np.arange(Q - 1, -1, -1)
+    return psi[strides] / psi[0] / sqrt(2.0), True
 
 
 def collision_increments(setup, psi):
     """Decoded rate of change of each population under its own generator
-    term -i p_m Omega_m, read through the derivative of the amplitude
-    ratio."""
+    term -i p_m Omega_m = P_m Omega_m, read through the derivative of the
+    amplitude ratio."""
     Q = setup.model.Q
     dim = setup.cfg.levels
-    if abs(psi[0]) == 0.0:
+    if psi[0] == 0.0:
         return np.full(Q, np.nan)
-    p1 = fock.p_matrix(setup.cfg)
+    factors = _factors(setup.cfg)
     rates = np.empty(Q)
     for m in range(Q):
-        y = -1j * (_lift(p1, m, Q, dim) @ (omega_operator(setup, m) @ psi))
+        y = _kron_sum(_omega_terms(setup, m, p_mode=m), factors) @ psi
         stride = dim ** (Q - 1 - m)
         num = y[stride] * psi[0] - psi[stride] * y[0]
-        rates[m] = (complex(num) / complex(psi[0]) ** 2).real / sqrt(2.0)
+        rates[m] = num / psi[0] ** 2 / sqrt(2.0)
     return rates
 
 
@@ -342,7 +335,7 @@ def evolve_quantum_0d(setup, f0, steps, mode="nonhermitian", init="exact"):
             f"f0 must have shape ({setup.model.Q},), got {f0.shape}"
         )
     if abs(f0.sum() - 1.0) > 1e-12:
-        raise ValueError(f"populations must sum to 1, got {f0.sum()!r}")
+        raise ValueError(f"populations must sum to 1, got {float(f0.sum())!r}")
     if np.any(np.abs(f0) > 1.0):
         raise OutOfRange("each population must lie in [-1, 1]")
     Q, D = setup.model.Q, setup.model.D
@@ -356,8 +349,7 @@ def evolve_quantum_0d(setup, f0, steps, mode="nonhermitian", init="exact"):
     decoded = np.full((steps + 1, Q), np.nan)
     norms = np.empty(steps + 1)
     norms_corr = np.empty(steps + 1)
-    vals, ok = decode_state(setup, psi)
-    decoded[0] = vals
+    decoded[0], _ = decode_state(setup, psi)
     norms[0] = np.linalg.norm(psi)
     norms_corr[0] = norms[0]
     ratio_bound = bound * CERTIFICATE_MARGIN

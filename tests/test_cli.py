@@ -206,3 +206,31 @@ def test_bad_inputs_exit_cleanly(tmp_path, capsys, command, sets, out, label):
     assert code in (2, 3)
     assert "Traceback" not in err
     assert err.startswith(label)
+
+
+def test_sum_guard_prints_plain_float(tmp_path, capsys):
+    out = tmp_path / "q.csv"
+    code = cli.main(["quantum", "--set", "f0=0.5,0.2,0.2", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "np.float64" not in err
+    assert "got 0.8999999999999999" in err
+
+
+def test_unwritable_out_fails_before_computing(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert cli.main(["bounds", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("I/O error:")
+
+
+def test_grid_stream_needs_no_f0(tmp_path):
+    out = tmp_path / "g.csv"
+    code = cli.main(
+        ["classical", "--set", "run=grid-stream", "--set", "lattice=d2q9",
+         "--set", "sites=4", "--set", "steps=1", "--out", str(out)]
+    )
+    assert code == 0
+    lines = _read(out)
+    assert len(lines) == 1 + 2 * 16  # header + 16 sites at each of 2 times

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qalb import classical, engine, fock, lattice
 from qalb.errors import OutOfRange, TauTooSmall, TooLarge
@@ -44,6 +45,89 @@ def test_omega_operator_symmetric():
         om = engine.omega_operator(s, i)
         assert np.max(np.abs(om - om.T)) < 1e-12
         assert np.max(np.abs(om.imag)) == 0.0
+
+
+def _lift(op, mode, setup):
+    out = np.eye(1)
+    for m in range(setup.modes):
+        out = np.kron(out, op if m == mode else np.eye(setup.cfg.levels))
+    return out
+
+
+def _oracle_hamiltonian(setup, mode):
+    """Dense complex H = sum_i p_i Omega_i from Kronecker lifts of the
+    one-mode q and p, with the equilibrium written out in u_hat."""
+    model, cfg = setup.model, setup.cfg
+    c = model.velocities.astype(float)
+    q = [_lift(fock.q_matrix(cfg), j, setup) for j in range(model.Q)]
+    u = [sum(c[j, d] * q[j] for j in range(model.Q)) for d in range(model.D)]
+    u_sq = sum(ud @ ud for ud in u)
+    eye = np.eye(setup.dim)
+    H = np.zeros((setup.dim, setup.dim), dtype=complex)
+    for i in range(model.Q):
+        cu = sum(c[i, d] * u[d] for d in range(model.D))
+        feq = model.weights[i] * (eye + 3.0 * cu + 4.5 * cu @ cu - 1.5 * u_sq)
+        H += _lift(fock.p_matrix(cfg), i, setup) @ (-(q[i] - feq) / setup.tau)
+    return H if mode == "nonhermitian" else 0.5 * (H + H.conj().T)
+
+
+def _oracle_propagator(setup, mode):
+    return scipy.linalg.expm(-1j * setup.dt * _oracle_hamiltonian(setup, mode))
+
+
+@pytest.mark.parametrize("qubits", [1, 2, 3])
+@pytest.mark.parametrize("mode", engine.MODES)
+def test_generator_matches_dense_lift_oracle(qubits, mode):
+    s = _setup(qubits)
+    want = -1j * s.dt * _oracle_hamiltonian(s, mode)
+    G = engine.generator(s, mode)
+    assert G.dtype == np.float64
+    assert np.max(np.abs(want - s.dt * G)) <= 1e-13
+    U = engine.propagator(s, mode)
+    assert U.dtype == np.float64
+    if mode == "hermitized":
+        assert np.max(np.abs(U.T @ U - np.eye(s.dim))) <= 1e-12
+    with pytest.raises(ValueError):
+        engine.generator(s, "magic")
+
+
+@pytest.mark.parametrize("qubits", [2, 3])
+@pytest.mark.parametrize("mode", engine.MODES)
+def test_real_march_matches_complex_oracle(qubits, mode):
+    s = _setup(qubits)
+    steps = 200
+    res = engine.evolve_quantum_0d(s, F0, steps, mode=mode, init="exact")
+    U = _oracle_propagator(s, mode)
+    psi = np.ones(1, dtype=complex)
+    for f in F0:
+        psi = np.kron(psi, fock.encode_value(f, s.cfg))
+    strides = [s.cfg.levels ** (s.modes - 1 - m) for m in range(s.modes)]
+    decoded = np.empty((steps + 1, s.modes))
+    for t in range(steps + 1):
+        decoded[t] = (psi[strides] / psi[0]).real / np.sqrt(2.0)
+        psi = U @ psi
+    ref = classical.evolve_0d(F0, s.tau, s.dt, steps)
+    rel_err = np.max(np.abs(decoded - ref) / np.abs(ref), axis=1)
+    assert np.max(np.abs(res.decoded - decoded)) <= 1e-12
+    assert np.max(np.abs(res.rel_err - rel_err)) <= 1e-12
+
+
+@pytest.mark.parametrize("qubits", [1, 2, 3])
+@pytest.mark.parametrize("mode", engine.MODES)
+def test_certificate_keeps_complex_power_iteration(qubits, mode):
+    # 120 iterations of U^dag U from the seeded complex start, in complex
+    # arithmetic on the oracle propagator
+    s = _setup(qubits)
+    U = _oracle_propagator(s, mode)
+    rng = np.random.default_rng(7)
+    v = rng.normal(size=s.dim) + 1j * rng.normal(size=s.dim)
+    v /= np.linalg.norm(v)
+    for _ in range(120):
+        w = U.conj().T @ (U @ v)
+        nw = np.linalg.norm(w)
+        v = w / nw
+    smax, _, _ = engine.certificate(s, mode)
+    assert abs(smax - np.sqrt(nw)) <= 1e-12
 
 
 def test_hamiltonian_split():
