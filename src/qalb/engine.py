@@ -22,7 +22,7 @@ import numpy as np
 
 from . import classical, fock
 from .errors import OutOfRange, TauTooSmall, TooLarge
-from .linalg import expm
+from .linalg import expm, one_blas_thread
 
 CERTIFICATE_MARGIN = 1.01
 
@@ -227,7 +227,8 @@ def propagator(setup, mode):
     """One-step propagator expm(dt G) = expm(-i dt H), a real matrix."""
     key = ("U", mode)
     if key not in setup._cache:
-        setup._cache[key] = expm(setup.dt * generator(setup, mode))
+        with one_blas_thread():
+            setup._cache[key] = expm(setup.dt * generator(setup, mode))
     return setup._cache[key]
 
 
@@ -241,7 +242,9 @@ def certificate(setup, mode):
     """
     key = ("cert", mode)
     if key not in setup._cache:
-        smax = _sigma_max(propagator(setup, mode))
+        U = propagator(setup, mode)
+        with one_blas_thread():
+            smax = _sigma_max(U)
         model = setup.model
         bound = dissipation_factor(1.0, setup.dt, setup.tau, model.Q, model.D)
         setup._cache[key] = (smax, bound, smax > bound * CERTIFICATE_MARGIN)
