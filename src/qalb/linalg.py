@@ -92,31 +92,39 @@ def expm(A, tol=None):
     if norm > _THETA13:
         s = int(np.ceil(np.log2(norm / _THETA13)))
         A /= 2.0 ** s
-    I = np.eye(n, dtype=dtype)
+    # Full-size buffers (134 MB each at n = 4096) are reused; the sums keep
+    # the order of the plain expressions, so the result is bit-identical.
     A2 = A @ A
     A4 = A2 @ A2
     A6 = A4 @ A2
-    U = A @ (
-        A6 @ (_B[13] * A6 + _B[11] * A4 + _B[9] * A2)
-        + _B[7] * A6
-        + _B[5] * A4
-        + _B[3] * A2
-        + _B[1] * I
-    )
-    V = (
-        A6 @ (_B[12] * A6 + _B[10] * A4 + _B[8] * A2)
-        + _B[6] * A6
-        + _B[4] * A4
-        + _B[2] * A2
-        + _B[0] * I
-    )
-    R = np.linalg.solve(V - U, V + U)
+    tmp = np.empty_like(A)
+    V = _pade_sum(A2, A4, A6, _B[12::-2], np.empty_like(A), tmp)
+    W = _pade_sum(A2, A4, A6, _B[13::-2], np.empty_like(A), tmp)
+    U = np.matmul(A, W, out=tmp)
+    VmU = np.subtract(V, U, out=A2)
+    V += U
+    del A4, A6, W, U, tmp  # the solve allocates three more full-size arrays
+    R = np.linalg.solve(VmU, V)
+    spare = VmU
     for _ in range(s):
-        R = R @ R
+        R, spare = np.matmul(R, R, out=spare), R
     if tol is not None:
-        resid = np.max(np.abs(R @ expm(-np.asarray(A) * 2.0 ** s) - I))
+        resid = np.max(np.abs(R @ expm(-A * 2.0 ** s) - np.eye(n)))
         if not resid < tol:
             raise ConvergenceFailure(
                 f"inverse check residual {resid} exceeds {tol}"
             )
     return R
+
+
+def _pade_sum(A2, A4, A6, b, out, tmp):
+    """A6 (b0 A6 + b1 A4 + b2 A2) + b3 A6 + b4 A4 + b5 A2 + b6 I into out,
+    using tmp as scratch."""
+    np.multiply(A6, b[0], out=tmp)
+    tmp += np.multiply(A4, b[1], out=out)
+    tmp += np.multiply(A2, b[2], out=out)
+    np.matmul(A6, tmp, out=out)
+    for bk, Ak in zip(b[3:6], (A6, A4, A2)):
+        out += np.multiply(Ak, bk, out=tmp)
+    out.reshape(-1)[:: out.shape[0] + 1] += b[6]  # + b6 I, on a view
+    return out

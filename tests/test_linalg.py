@@ -37,6 +37,21 @@ def test_expm_skew_hermitian_is_unitary():
     assert np.max(np.abs(u @ u.conj().T - np.eye(16))) < 1e-12
 
 
+@pytest.mark.parametrize("scale", [0.1, 1.0])
+@pytest.mark.parametrize("complex_input", [False, True])
+def test_expm_leaves_argument_unchanged(scale, complex_input):
+    rng = np.random.default_rng(9)
+    a = scale * rng.standard_normal((12, 12))
+    if complex_input:
+        a = a + 1j * scale * rng.standard_normal((12, 12))
+    # both sides of theta_13, so the scaling branch runs for the large one
+    assert (np.linalg.norm(a, 1) > linalg._THETA13) == (scale > 0.5)
+    before = a.copy()
+    linalg.expm(a)
+    linalg.expm(a, tol=1e-6)
+    assert np.array_equal(a, before)
+
+
 def test_expm_tolerance_check():
     rng = np.random.default_rng(8)
     a = rng.standard_normal((6, 6))

@@ -8,6 +8,7 @@ from qalb.errors import IndexOutOfRange
 
 D1Q3 = lattice.build_lattice("D1Q3")
 D2Q9 = lattice.build_lattice("D2Q9")
+D3Q27 = lattice.build_lattice("D3Q27")
 
 
 def test_direction_codes():
@@ -187,6 +188,89 @@ def test_equivalence_exhaustive_2d():
     report = streaming.equivalence_check((4, 4), D2Q9)
     assert report.cases == 144
     assert report.passes == 144
+
+
+def test_equivalence_exhaustive_3d():
+    report = streaming.equivalence_check((4, 4, 4), D3Q27)
+    assert report.cases == 1728
+    assert report.passes == 1728
+    assert len(report.per_direction) == 27
+
+
+_STREAM_CIRCUIT = streaming.stream_circuit
+
+
+def _drop_last_gate(layout):
+    return _STREAM_CIRCUIT(layout)[:-1]
+
+
+def _swap_axis0_signs(layout):
+    """Axis 0 increments on the negative code and decrements on the
+    positive one; other axes are left as they are."""
+    up = streaming.axis_block(layout, 0, 1)
+    down = streaming.axis_block(layout, 0, -1)
+    code_up, code_down = up[0].controls[:2], down[0].controls[:2]
+    gates = [
+        streaming.GateStep(g.target, code_down + g.controls[2:]) for g in up
+    ] + [
+        streaming.GateStep(g.target, code_up + g.controls[2:]) for g in down
+    ]
+    for d in range(1, layout.ndim):
+        gates += _STREAM_CIRCUIT(layout, axis=d)
+    return gates
+
+
+@pytest.mark.parametrize(
+    "broken, fails",
+    [
+        (_drop_last_gate, lambda v: v[-1] == -1),
+        (_swap_axis0_signs, lambda v: v[0] != 0),
+    ],
+    ids=["drop-last-gate", "swap-axis0-signs"],
+)
+@pytest.mark.parametrize("dims, model", [((8,), D1Q3), ((4, 4), D2Q9)])
+def test_equivalence_catches_broken_circuit(
+    monkeypatch, broken, fails, dims, model
+):
+    monkeypatch.setattr(streaming, "stream_circuit", broken)
+    report = streaming.equivalence_check(dims, model)
+    assert report.passes < report.cases
+    sites = int(np.prod(dims))
+    for v, counts in report.per_direction.items():
+        assert counts == (sites, 0 if fails(v) else sites)
+
+
+def _apply_gate_by_gate(state, layout, steps):
+    """Reference: one full copy of the state per gate."""
+    n = layout.total_qubits
+    idx = np.arange(layout.dim)
+    out = np.asarray(state, dtype=complex).copy()
+    for g in steps:
+        mask = np.ones(layout.dim, dtype=bool)
+        for q, s in g.controls:
+            mask &= ((idx >> (n - 1 - q)) & 1) == s
+        flipped = idx ^ (1 << (n - 1 - g.target))
+        nxt = out.copy()
+        nxt[mask] = out[flipped[mask]]
+        out = nxt
+    return out
+
+
+@pytest.mark.parametrize("dims", [(8,), (4, 4)])
+def test_apply_circuit_matches_gate_by_gate(dims):
+    lay = streaming.RegisterLayout(dims, payload_qubits=1)
+    rng = np.random.default_rng(14)
+    circuits = [
+        streaming.stream_circuit(lay),
+        streaming.axis_block(lay, lay.ndim - 1, 1),
+        streaming.axis_block(lay, 0, -1),
+        streaming.increment_circuit(lay.total_qubits - 1, 1, offset=1),
+    ]
+    for steps in circuits:
+        re, im = rng.standard_normal((2, lay.dim))
+        state = re + 1j * im
+        out = streaming.apply_circuit(state, lay, steps)
+        assert np.array_equal(out, _apply_gate_by_gate(state, lay, steps))
 
 
 def test_equivalence_dimension_guard():
