@@ -69,14 +69,6 @@ def equilibrium(f, model):
 
 
 @dataclass(frozen=True)
-class HydroMoments:
-    """Per-site density and rho-normalized velocity."""
-
-    rho: np.ndarray
-    u: np.ndarray
-
-
-@dataclass(frozen=True)
 class DistributionField:
     """Site-major distribution field of shape (*grid, Q)."""
 
@@ -95,21 +87,11 @@ class DistributionField:
             raise ValueError("field entries must be finite")
         object.__setattr__(self, "data", data)
 
-    @property
-    def dims(self):
-        return self.data.shape[:-1]
-
     @classmethod
     def from_equilibrium(cls, model, rho, u):
         rho = np.asarray(rho, dtype=float)
         u = np.asarray(u, dtype=float)
         return cls(model, _equilibrium(model, rho, u))
-
-
-def moments(fld):
-    """Hydrodynamic moments of a field; ZeroDensity guards positivity."""
-    rho, u = site_moments(fld.data, fld.model)
-    return HydroMoments(rho=rho, u=u)
 
 
 def collide(fld, tau, dt):

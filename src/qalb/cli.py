@@ -4,16 +4,17 @@ Config files are flat `key = value` lines with `#` comments; `--set`
 overrides win over the file.  Unknown keys are rejected with the line
 they came from.  Every successful run writes its data file plus a
 `.meta` sidecar echoing the effective configuration and the artifact
-version, so identical configs reproduce identical bytes.  Exit codes:
-0 success, 2 config or I/O error (including a ValueError from the library
-on an input the schema let through), 3 numeric guard violation, 4
-divergence flagged but the data was still written.
+version, so identical configs reproduce identical bytes.  Each
+subcommand reads its settings from the validated dict that the sidecar
+echoes.  Exit codes: 0 success, 2 config or I/O error, 3 numeric guard
+violation, 4 divergence flagged but the data was still written.  ConfigError
+is a ValueError, so config errors and a library ValueError on an input the
+schema let through share one exit-2 handler.
 """
 
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,40 +26,9 @@ from .lattice import build_lattice
 
 F0_PRESETS = {"d1q3-figure": (0.6, 0.1, 0.3)}
 
-_CORE_FIELDS = (
-    "experiment",
-    "lattice",
-    "tau",
-    "dt",
-    "steps",
-    "qc",
-    "f0",
-    "out",
-    "mode",
-    "init",
-)
 
-
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Effective settings of one invocation; extra holds the keys that
-    only one subcommand understands."""
-
-    experiment: str
-    lattice: str
-    tau: float
-    dt: float
-    steps: int
-    qc: tuple
-    f0: object
-    out: str
-    mode: str
-    init: str
-    extra: dict = field(default_factory=dict)
 
 
 def parse_config_text(text, source):
@@ -84,10 +54,6 @@ def parse_config_text(text, source):
     return out
 
 
-def _float(s):
-    return float(s)
-
-
 def _positive_float(s):
     v = float(s)
     if v <= 0.0:
@@ -111,8 +77,8 @@ def _nonneg_int(s):
 
 def _int_list(s):
     vals = tuple(int(p.strip()) for p in s.split(","))
-    if not vals:
-        raise ValueError("empty list")
+    if len(set(vals)) != len(vals):
+        raise ValueError(f"repeated entry in {s!r}")
     return vals
 
 
@@ -270,58 +236,60 @@ def write_sidecar(path, subcommand, values):
 
 
 def cmd_classical(config):
-    model = build_lattice(config.lattice.upper())
+    model = build_lattice(config["lattice"].upper())
+    steps, dt = config["steps"], config["dt"]
     ucols = [f"u_{d}" for d in range(model.D)]
     fcols = [f"f_{i}" for i in range(model.Q)]
     rows = []
-    if config.extra["run"] == "0d":
+    if config["run"] == "0d":
         header = ["t"] + fcols + ["rho"] + ucols
-        f0 = resolve_f0(config.f0, model)
-        series = classical.evolve_0d(f0, config.tau, config.dt, config.steps)
-        for k in range(config.steps + 1):
+        f0 = resolve_f0(config["f0"], model)
+        series = classical.evolve_0d(f0, config["tau"], dt, steps)
+        for k in range(steps + 1):
             rho, u = classical.site_moments(series[k], model)
-            rows.append([k * config.dt, *series[k], rho, *np.atleast_1d(u)])
+            rows.append([k * dt, *series[k], rho, *np.atleast_1d(u)])
     else:
         header = ["t", "site"] + fcols + ["rho"] + ucols
-        sites = config.extra["sites"]
+        sites = config["sites"]
         shape = (sites,) * model.D
         total = int(np.prod(shape))
         data = 1.0 + 0.01 * np.arange(total * model.Q, dtype=float)
         fld = classical.DistributionField(
             model=model, data=data.reshape(*shape, model.Q)
         )
-        for k in range(config.steps + 1):
+        for k in range(steps + 1):
             flat = fld.data.reshape(total, model.Q)
             rho, u = classical.site_moments(flat, model)
             for s in range(total):
                 rows.append(
-                    [k * config.dt, s, *flat[s], rho[s], *np.atleast_2d(u)[s]]
+                    [k * dt, s, *flat[s], rho[s], *np.atleast_2d(u)[s]]
                 )
-            if k < config.steps:
+            if k < steps:
                 fld = classical.stream(fld)
-    write_csv(config.out, header, rows)
-    print(f"classical: wrote {len(rows)} rows to {config.out}")
+    write_csv(config["out"], header, rows)
+    print(f"classical: wrote {len(rows)} rows to {config['out']}")
     return 0
 
 
 def cmd_quantum(config):
-    model = build_lattice(config.lattice.upper())
-    f0 = resolve_f0(config.f0, model)
-    if config.mode == "both":
+    model = build_lattice(config["lattice"].upper())
+    steps, dt = config["steps"], config["dt"]
+    f0 = resolve_f0(config["f0"], model)
+    if config["mode"] == "both":
         methods = ("nonhermitian", "hermitized")
     else:
-        methods = (config.mode,)
+        methods = (config["mode"],)
     runs = []
-    for qc in config.qc:
+    for qc in config["qc"]:
         try:
             setup = engine.make_setup(
-                model, qubits=qc, tau=config.tau, dt=config.dt
+                model, qubits=qc, tau=config["tau"], dt=dt
             )
         except TooLarge as exc:
             raise TooLarge(f"qc={qc}: {exc}")
         for method in methods:
             res = engine.evolve_quantum_0d(
-                setup, f0, config.steps, mode=method, init=config.init
+                setup, f0, steps, mode=method, init=config["init"]
             )
             runs.append((qc, method, res))
     header = ["t"] + [f"ref_f{i}" for i in range(model.Q)]
@@ -331,8 +299,8 @@ def cmd_quantum(config):
         header += [f"{tag}_relerr", f"{tag}_flag"]
     reference = runs[0][2].classical
     rows = []
-    for k in range(config.steps + 1):
-        row = [k * config.dt, *reference[k]]
+    for k in range(steps + 1):
+        row = [k * dt, *reference[k]]
         for _, _, res in runs:
             tripped = (
                 res.flagged
@@ -341,7 +309,7 @@ def cmd_quantum(config):
             )
             row += [*res.decoded[k], res.rel_err[k], 1 if tripped else 0]
         rows.append(row)
-    write_csv(config.out, header, rows)
+    write_csv(config["out"], header, rows)
     flagged = False
     for qc, method, res in runs:
         note = f"flagged at step {res.flag_step}: {res.flag_reason}" if (
@@ -352,14 +320,14 @@ def cmd_quantum(config):
             f"{res.rel_err[-1]:.6g}, {note}"
         )
         flagged = flagged or res.flagged
-    print(f"quantum: wrote {len(rows)} rows to {config.out}")
+    print(f"quantum: wrote {len(rows)} rows to {config['out']}")
     return 4 if flagged else 0
 
 
 def cmd_carleman(config):
-    x = config.extra
-    p = carleman.LogisticParams(a=x["a"], b=x["b"], f0=config.f0)
-    horizon = config.steps * config.dt
+    steps, dt = config["steps"], config["dt"]
+    p = carleman.LogisticParams(a=config["a"], b=config["b"], f0=config["f0"])
+    horizon = steps * dt
     t_sing = carleman.singular_time(p)
     if t_sing <= horizon:
         raise SingularTime(
@@ -367,9 +335,9 @@ def cmd_carleman(config):
             f"{horizon:.6g}; a*t_sing is roughly K/f0 = {p.K / p.f0:.6g}",
             t_singular=t_sing,
         )
-    orders = x["orders"]
+    orders = config["orders"]
     times, curves = carleman.logistic_order_sweep(
-        p, orders, config.dt, config.steps, method=x["method"]
+        p, orders, dt, steps, method=config["method"]
     )
     exact = carleman.logistic_exact(p, times)
     header = ["t", "exact"]
@@ -381,8 +349,8 @@ def cmd_carleman(config):
         for k in orders:
             row += [curves[k][i], abs(curves[k][i] - exact[i])]
         rows.append(row)
-    write_csv(config.out, header, rows)
-    print(f"carleman: wrote {len(rows)} rows to {config.out}")
+    write_csv(config["out"], header, rows)
+    print(f"carleman: wrote {len(rows)} rows to {config['out']}")
     return 0
 
 
@@ -409,8 +377,7 @@ _COMPASS = {
 
 
 def cmd_streaming_demo(config):
-    x = config.extra
-    sites, steps, marker = x["sites"], config.steps, x["marker"]
+    sites, steps, marker = config["sites"], config["steps"], config["marker"]
     if marker >= sites:
         raise ConfigError(f"marker {marker} outside 0..{sites - 1}")
     layout = streaming.RegisterLayout(grid_dims=(sites,))
@@ -464,29 +431,25 @@ def cmd_streaming_demo(config):
         "round-trip identity (unconditional +1 then -1 on axis 0): "
         + ("PASS" if ok else "FAIL"),
     ]
-    write_text(config.out, lines)
-    print(f"streaming-demo: wrote {config.out}")
+    write_text(config["out"], lines)
+    print(f"streaming-demo: wrote {config['out']}")
     return 0 if ok else 3
 
 
 def cmd_complexity(config):
-    x = config.extra
-    try:
-        inputs = ComplexityInputs(
-            G=x["G"],
-            D=x["D"],
-            T=x["T"],
-            Q=x["Q"],
-            tau=config.tau,
-            b=x["b"],
-            N=x["N"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    inputs = ComplexityInputs(
+        G=config["G"],
+        D=config["D"],
+        T=config["T"],
+        Q=config["Q"],
+        tau=config["tau"],
+        b=config["b"],
+        N=config["N"],
+    )
     rows = complexity_rows(inputs)
     header = ["label", "qubits", "ancillas", "gates", "gates_with_log"]
     write_csv(
-        config.out,
+        config["out"],
         header,
         [
             [r.label, r.qubits, r.ancillas, r.gates, r.gates_with_log]
@@ -502,24 +465,24 @@ def cmd_complexity(config):
             f"quoted {rep['quoted']:.6g} ({mark})"
         )
     print(f"note: {DISCLAIMER}")
-    print(f"complexity: wrote {len(rows)} rows to {config.out}")
+    print(f"complexity: wrote {len(rows)} rows to {config['out']}")
     return 0
 
 
 def cmd_bounds(config):
-    x = config.extra
-    eps = bounds.epsilon_N(x["N"])
+    tau, dt, steps = config["tau"], config["dt"], config["steps"]
+    eps = bounds.epsilon_N(config["N"])
     print(f"eps_N table (defect sup over [-1, 1]):")
-    for n in range(1, x["nmax"] + 1):
+    for n in range(1, config["nmax"] + 1):
         print(f"  N={n}: {bounds.epsilon_N(n):.6g}")
     per = {}
     for variant in bounds.VARIANTS:
-        C0, C1 = bounds.bound_coefficients(x["Q"], variant)
+        C0, C1 = bounds.bound_coefficients(config["Q"], variant)
         params = bounds.ErrorBoundParams(
-            C0=C0, C1=C1, tau=config.tau, dt=config.dt, eps_N=eps
+            C0=C0, C1=C1, tau=tau, dt=dt, eps_N=eps
         )
-        series = bounds.logistic_map_run(params, config.steps)
-        feas = bounds.feasibility(C0, C1, config.dt, config.tau, eps)
+        series = bounds.logistic_map_run(params, steps)
+        feas = bounds.feasibility(C0, C1, dt, tau, eps)
         per[variant] = series
         verdict = "feasible" if feas.feasible else "infeasible"
         print(
@@ -532,14 +495,14 @@ def cmd_bounds(config):
     for variant in bounds.VARIANTS:
         header += [f"{variant}_Z", f"{variant}_eps", f"{variant}_eps_raw"]
     rows = []
-    for k in range(config.steps + 1):
-        row = [k * config.dt]
+    for k in range(steps + 1):
+        row = [k * dt]
         for variant in bounds.VARIANTS:
             s = per[variant]
             row += [s.Z[k], s.eps[k], s.eps_raw[k]]
         rows.append(row)
-    write_csv(config.out, header, rows)
-    print(f"bounds: wrote {len(rows)} rows to {config.out}")
+    write_csv(config["out"], header, rows)
+    print(f"bounds: wrote {len(rows)} rows to {config['out']}")
     return 0
 
 
@@ -564,33 +527,20 @@ def _run(args):
         key, val = (part.strip() for part in item.split("=", 1))
         raw[key] = (val, f"--set #{i}")
     schema = _schemas()[args.command]
-    values = build_values(raw, schema, args.command)
-    if values["experiment"] is None:
-        values["experiment"] = args.command
-    out = args.out or values["out"]
+    config = build_values(raw, schema, args.command)
+    if config["experiment"] is None:
+        config["experiment"] = args.command
+    out = args.out or config["out"]
     if out is None:
         raise ConfigError(
             "an output path is required: pass --out or set out= in the config"
         )
-    values["out"] = out
+    config["out"] = out
     # fail before computing anything when the output cannot be written
     if not os.access(os.path.dirname(out) or ".", os.W_OK):
         raise OSError(f"cannot write to the directory of {out!r}")
-    config = RunConfig(
-        experiment=values["experiment"],
-        lattice=values.get("lattice", "d1q3"),
-        tau=values.get("tau", 1.0),
-        dt=values.get("dt", 1e-3),
-        steps=values.get("steps", 0),
-        qc=values.get("qc", (2,)),
-        f0=values.get("f0", "d1q3-figure"),
-        out=out,
-        mode=values.get("mode", "both"),
-        init=values.get("init", "exact"),
-        extra={k: v for k, v in values.items() if k not in _CORE_FIELDS},
-    )
     code = _COMMANDS[args.command](config)
-    write_sidecar(out, args.command, values)
+    write_sidecar(out, args.command, config)
     return code
 
 
@@ -623,9 +573,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 2

@@ -207,22 +207,6 @@ def generator(setup, mode):
     return G if mode == "nonhermitian" else 0.5 * (G - G.T)
 
 
-def hamiltonian_nonhermitian(setup):
-    """Faithful generator H = sum_i p_i Omega_i = i G."""
-    return 1j * generator(setup, "nonhermitian")
-
-
-def hamiltonian_hermitized(setup):
-    """Symmetrized generator and the constant divergence it splits off.
-
-    (1/2) sum_i (p_i Omega_i + Omega_i p_i) equals (H + H^dag)/2 because
-    every Omega_i is real symmetric; the anti-Hermitian remainder of H is
-    the phase-space divergence -(Q - D)/tau up to truncation defects.
-    """
-    div = phase_space_divergence(setup.model, setup.tau)
-    return 1j * generator(setup, "hermitized"), div
-
-
 def propagator(setup, mode):
     """One-step propagator expm(dt G) = expm(-i dt H), a real matrix."""
     key = ("U", mode)
@@ -314,10 +298,6 @@ class EvolutionResult:
     flagged: bool
     flag_step: Optional[int]
     flag_reason: Optional[str]
-    sigma_max: float
-    growth_bound: float
-    mode: str
-    init: str
 
 
 def evolve_quantum_0d(setup, f0, steps, mode="nonhermitian", init="exact"):
@@ -344,7 +324,7 @@ def evolve_quantum_0d(setup, f0, steps, mode="nonhermitian", init="exact"):
     Q, D = setup.model.Q, setup.model.D
     tau, dt = setup.tau, setup.dt
     U = propagator(setup, mode)
-    smax, bound, cert_flagged = certificate(setup, mode)
+    _, bound, cert_flagged = certificate(setup, mode)
     psi = initial_state(setup, f0, init=init)
     flagged = cert_flagged
     flag_step = 0 if flagged else None
@@ -397,8 +377,4 @@ def evolve_quantum_0d(setup, f0, steps, mode="nonhermitian", init="exact"):
         flagged=flagged,
         flag_step=flag_step,
         flag_reason=flag_reason,
-        sigma_max=smax,
-        growth_bound=bound,
-        mode=mode,
-        init=init,
     )

@@ -87,17 +87,17 @@ def mode_coupling(model, omega):
     """
     if not 0.0 < omega < 2.0:
         raise OmegaOutOfRange(f"omega must lie in (0, 2), got {omega}")
+    # entries depend on (j, k) only through the integer c_j.c_k in -D..D,
+    # so each (i, c_j.c_k) pair is rounded from its rational exactly once
     wfr = model.weight_fractions()
     c = model.velocities
-    Q, D = model.Q, model.D
-    L = np.empty((Q, Q))
-    Qt = np.empty((Q, Q, Q))
-    for i in range(Q):
-        qi = Fraction(int(c[i] @ c[i])) - D * CS2
-        for j in range(Q):
-            L[i, j] = float(wfr[i] * (1 + Fraction(int(c[i] @ c[j])) / CS2))
-            for k in range(Q):
-                Qt[i, j, k] = float(
-                    wfr[i] * qi * Fraction(int(c[j] @ c[k])) / (2 * CS2 ** 2)
-                )
-    return ModeCoupling(omega=float(omega), L=L, Qt=Qt)
+    D = model.D
+    dots = [Fraction(v) for v in range(-D, D + 1)]
+    Ltab = np.array([[float(w * (1 + v / CS2)) for v in dots] for w in wfr])
+    trace = [
+        w * (int(ci @ ci) - D * CS2) / (2 * CS2 ** 2) for w, ci in zip(wfr, c)
+    ]
+    Qtab = np.array([[float(t * v) for v in dots] for t in trace])
+    gram = c @ c.T + D  # column index of c_j.c_k in the tables
+    L = np.take_along_axis(Ltab, gram, axis=1)
+    return ModeCoupling(omega=float(omega), L=L, Qt=Qtab[:, gram])

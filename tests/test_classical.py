@@ -46,10 +46,11 @@ def test_collide_conserves_moments():
     rng = np.random.default_rng(2)
     data = rng.uniform(0.05, 1.0, size=(4, 4, 9))
     fld = classical.DistributionField(D2Q9, data)
-    before = classical.moments(fld)
-    after = classical.moments(classical.collide(fld, 0.7, 0.1))
-    assert np.max(np.abs(after.rho - before.rho)) < 1e-12
-    assert np.max(np.abs(after.u - before.u)) < 1e-12
+    rho0, u0 = classical.site_moments(fld.data, D2Q9)
+    after = classical.collide(fld, 0.7, 0.1)
+    rho1, u1 = classical.site_moments(after.data, D2Q9)
+    assert np.max(np.abs(rho1 - rho0)) < 1e-12
+    assert np.max(np.abs(u1 - u0)) < 1e-12
     assert np.array_equal(fld.data, data)  # input untouched
 
 

@@ -52,6 +52,19 @@ def test_classical_run_and_sidecar(tmp_path):
     assert meta.read_text() == first
 
 
+@pytest.mark.parametrize("command", tuple(cli._COMMANDS))
+def test_sidecar_echoes_schema_defaults(tmp_path, command):
+    out = tmp_path / f"{command}.out"
+    assert cli.main([command, "--out", str(out)]) == 0
+    schema = cli._schemas()[command]
+    defaults = {key: default for key, (_, default) in schema.items()}
+    defaults.update(out=str(out), experiment=command)
+    assert _read(tmp_path / f"{command}.out.meta") == [
+        f"artifact = {cli.__version__}",
+        f"subcommand = {command}",
+    ] + [f"{key} = {cli._fmt(defaults[key])}" for key in sorted(defaults)]
+
+
 def test_classical_set_overrides_config(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("steps = 5\n")
@@ -182,6 +195,8 @@ _BAD_RUNS = (
     [
         ("quantum", ["f0=0.5,0.2,0.2"], "x.csv", "config error:"),
         ("streaming-demo", ["sites=6", "marker=1"], "x.txt", "config error:"),
+        ("quantum", ["qc=2,2"], "x.csv", "config error:"),
+        ("carleman", ["orders=2,2"], "x.csv", "config error:"),
     ]
     + [(cmd, ["bogus=1"], "x.csv", "config error:") for cmd in _COMMANDS]
     + [

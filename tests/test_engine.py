@@ -131,13 +131,14 @@ def test_certificate_keeps_complex_power_iteration(qubits, mode):
 
 
 def test_hamiltonian_split():
+    # H = iG, so H is Hermitian exactly when G is antisymmetric
     s = _setup(2)
-    H = engine.hamiltonian_nonhermitian(s)
-    assert np.max(np.abs(H - H.conj().T)) > 1e-3  # genuinely non-Hermitian
-    Hh, div = engine.hamiltonian_hermitized(s)
-    assert np.max(np.abs(Hh - Hh.conj().T)) < 1e-12
-    assert div == -2.0
-    assert np.max(np.abs(Hh - 0.5 * (H + H.conj().T))) < 1e-13
+    G = engine.generator(s, "nonhermitian")
+    assert np.max(np.abs(G + G.T)) > 1e-3  # genuinely non-Hermitian
+    Gh = engine.generator(s, "hermitized")
+    assert np.array_equal(Gh, -Gh.T)
+    assert np.max(np.abs(Gh - 0.5 * (G - G.T))) < 1e-13
+    assert engine.phase_space_divergence(s.model, s.tau) == -2.0
 
 
 def test_initial_state_decodes():

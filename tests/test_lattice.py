@@ -84,6 +84,32 @@ def test_d1q3_quadratic_block_frozen():
     assert np.max(np.abs(mc.Qt[2] - 0.5 * cc)) < 1e-15
 
 
+def test_mode_coupling_rounds_each_entry_from_its_rational():
+    # per-entry reference: the builder shares one rounding per (i, c_j.c_k)
+    third = Fraction(1, 3)
+    for name in ("D1Q3", "D2Q9", "D3Q27"):
+        m = lattice.build_lattice(name)
+        w = m.weight_fractions()
+        c = [tuple(int(x) for x in v) for v in m.velocities]
+        dot = lambda a, b: sum(x * y for x, y in zip(a, b))
+        L = [[float(wi * (1 + dot(ci, cj) / third)) for cj in c]
+             for wi, ci in zip(w, c)]
+        Qt = [
+            [
+                [
+                    float(wi * (dot(ci, ci) - m.D * third) * dot(cj, ck)
+                          / (2 * third ** 2))
+                    for ck in c
+                ]
+                for cj in c
+            ]
+            for wi, ci in zip(w, c)
+        ]
+        mc = lattice.mode_coupling(m, 0.8)
+        assert np.array_equal(mc.L, L)
+        assert np.array_equal(mc.Qt, Qt)
+
+
 def test_column_sums_and_quadratic_trace():
     # entries come from exact rationals; the float sums round only once
     for name in ("D1Q3", "D2Q9", "D3Q27"):
