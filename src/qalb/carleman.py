@@ -6,8 +6,8 @@ the limit, and truncating at a finite order leaves an upper bidiagonal
 system whose first component converges to the true solution as the order
 grows.  The same construction applied to a vector of populations with a
 quadratic driving polynomial gives the general linearization, and the
-homogeneous D1Q3 relaxation closes exactly at order two because the
-momentum enters the equilibrium only through a conserved square.
+homogenized BGK relaxation closes exactly at order two on every lattice
+because the momentum enters the equilibrium only through a conserved square.
 """
 
 from dataclasses import dataclass, field
@@ -15,8 +15,8 @@ from math import inf, log
 
 import numpy as np
 
+from . import classical
 from .errors import OmegaOutOfRange, SingularTime, TooLarge
-from .lattice import mode_coupling
 from .linalg import expm
 
 _MAX_VARS = 9
@@ -239,32 +239,18 @@ def linearize(driving, O_c):
 
 
 def bgk_driving(model, tau):
-    """Homogenized BGK rate -(1/tau)(f - L f - Qt f f) as a driving dict.
+    """Homogenized BGK rate -(1/tau)(f - feq(f)) as a driving dict.
 
-    The density factor is written as a sum over populations, so every
-    monomial has degree 1 or 2 and the polynomial is homogeneous.
+    feq is classical.equilibrium_terms at rho = sum_j f_j (He and Luo's
+    incompressible form): its constant w_i joins every degree-1 term.
     """
-    mc = mode_coupling(model, 1.0)
     Q = model.Q
-    driving = {}
-    for j in range(Q):
-        e = tuple(1 if k == j else 0 for k in range(Q))
-        coeff = (mc.L[:, j] - np.eye(Q)[:, j]) / tau
-        driving[e] = coeff
-    for j in range(Q):
-        for k in range(j, Q):
-            e = tuple(
-                (2 if idx == j else 0)
-                if j == k
-                else (1 if idx in (j, k) else 0)
-                for idx in range(Q)
-            )
-            if j == k:
-                coeff = mc.Qt[:, j, j] / tau
-            else:
-                coeff = (mc.Qt[:, j, k] + mc.Qt[:, k, j]) / tau
-            cur = driving.get(e)
-            driving[e] = coeff if cur is None else cur + coeff
+    units = [tuple(int(j == k) for k in range(Q)) for j in range(Q)]
+    driving = {e: -np.eye(Q)[j] / tau for j, e in enumerate(units)}
+    for i in range(Q):
+        for e, coef in classical.equilibrium_terms(model, i).items():
+            for m in units if sum(e) == 0 else (e,):
+                driving.setdefault(m, np.zeros(Q))[i] += coef / tau
     return driving
 
 

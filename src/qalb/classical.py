@@ -59,6 +59,28 @@ def _equilibrium(model, rho, u):
     )
 
 
+def equilibrium_terms(model, i):
+    """Unit-density equilibrium of population i as a polynomial,
+    w_i (1 + 3 c_i.m + 9/2 (c_i.m)^2 - 3/2 m.m) with m = sum_j c_j f_j,
+    as {exponent tuple over the Q populations: coefficient}."""
+    Q = model.Q
+    c = model.velocities.astype(float)
+    cc = c @ c.T
+    w = model.weights[i]
+    terms = {}
+
+    def add(pops, coef):
+        e = tuple(pops.count(m) for m in range(Q))
+        terms[e] = terms.get(e, 0.0) + w * coef
+
+    add((), 1.0)
+    for j in range(Q):
+        add((j,), 3.0 * cc[i, j])
+        for k in range(Q):
+            add((j, k), 4.5 * cc[i, j] * cc[i, k] - 1.5 * cc[j, k])
+    return terms
+
+
 def equilibrium(f, model):
     """Quadratic equilibrium of f at its own density and velocity.
 

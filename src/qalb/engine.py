@@ -11,7 +11,7 @@ known constant dissipation rate to compensate in post-processing.
 With p = iP and P real, -i dt H = dt sum_i P_i Omega_i is real, so the
 engine works in real arithmetic throughout: generators, propagators and
 states.  Every operator is a sum of Kronecker products of one-mode factors
-P^p q^k, assembled from one term list per population.
+P^p q^k, assembled from classical.equilibrium_terms for each population.
 """
 
 from dataclasses import dataclass, field
@@ -135,26 +135,12 @@ def _factors(cfg):
 
 
 def _equilibrium_terms(setup, i, p_mode=None):
-    """The equilibrium of population i at unit density,
-    w_i (1 + 3 c_i.u_hat + 9/2 (c_i.u_hat)^2 - 3/2 u_hat.u_hat) with
-    u_hat = sum_j c_j q_j, as {factor key (p, k) on each mode: coefficient};
-    P multiplies mode p_mode from the left."""
-    Q = setup.modes
-    c = setup.model.velocities.astype(float)
-    cc = c @ c.T
-    w = setup.model.weights[i]
-    terms = {}
-
-    def add(modes, coef):
-        key = tuple((int(m == p_mode), modes.count(m)) for m in range(Q))
-        terms[key] = terms.get(key, 0.0) + w * coef
-
-    add((), 1.0)
-    for j in range(Q):
-        add((j,), 3.0 * cc[i, j])
-        for k in range(Q):
-            add((j, k), 4.5 * cc[i, j] * cc[i, k] - 1.5 * cc[j, k])
-    return terms
+    """classical.equilibrium_terms in the q_j, with exponent k on mode m
+    keyed as the factor (m == p_mode, k): P multiplies mode p_mode."""
+    return {
+        tuple((int(m == p_mode), k) for m, k in enumerate(e)): coef
+        for e, coef in classical.equilibrium_terms(setup.model, i).items()
+    }
 
 
 def _omega_terms(setup, i, p_mode=None):
@@ -305,7 +291,8 @@ def evolve_quantum_0d(setup, f0, steps, mode="nonhermitian", init="exact"):
 
     Preconditions: the populations sum to one and each lies in [-1, 1].
     Divergence never raises; the result carries the first flagged step and
-    its reason, and the series keep whatever could still be computed.  In
+    its reason, and the series keep whatever could still be computed.  A
+    decoded population leaving that input domain [-1, 1] is flagged.  In
     hermitized mode the corrected norms reapply the dissipation factor
     that the symmetrization removed; the amplitude-ratio decode is scale
     free, so the decoded series needs no correction.
@@ -356,16 +343,17 @@ def evolve_quantum_0d(setup, f0, steps, mode="nonhermitian", init="exact"):
         vals, ok = decode_state(setup, psi)
         if reason is None and not ok:
             reason = "ground amplitude zero"
+        elif reason is None and np.any(np.abs(vals) > 1.0):
+            reason = "decoded population outside [-1, 1]"
         if reason is not None and not flagged:
             flagged = True
             flag_step = t
             flag_reason = reason
         decoded[t] = vals
     cls = classical.evolve_0d(f0, tau, dt, steps)
-    rel = np.empty(steps + 1)
-    for t in range(steps + 1):
-        errs, _ = relative_error(decoded[t], cls[t])
-        rel[t] = np.nan if np.all(np.isnan(errs)) else np.nanmax(errs)
+    errs, _ = relative_error(decoded, cls)
+    # fmax skips NaN entries, and an all-NaN row stays NaN without a warning
+    rel = np.fmax.reduce(errs, axis=1)
     return EvolutionResult(
         times=np.arange(steps + 1) * dt,
         decoded=decoded,

@@ -83,7 +83,8 @@ def mode_coupling(model, omega):
 
     The quadratic trace coefficient keeps sum_i w_i (c_i.c_i - D cs2) = 0,
     so the columns of L sum to one and Qt sums to zero over its first index.
-    Since sum_j c_j = 0, the rows of L sum to Q w_i, not to one.
+    Since sum_j c_j = 0, the rows of L sum to Q w_i, not to one.  Qt is the
+    trace closure, equal to the BGK equilibrium only on D1Q3.
     """
     if not 0.0 < omega < 2.0:
         raise OmegaOutOfRange(f"omega must lie in (0, 2), got {omega}")

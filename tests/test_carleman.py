@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qalb import carleman, lattice
+from qalb import carleman, classical, lattice
 from qalb.errors import OmegaOutOfRange, SingularTime, TooLarge
 
 P_SMALL = carleman.LogisticParams(a=1.0, b=1.0, f0=0.01)
@@ -139,25 +139,22 @@ def test_monomial_basis_counts():
     assert len(set(basis)) == len(basis)
 
 
+def _rate(driving, f):
+    return sum(coeff * np.prod(f ** np.array(e)) for e, coeff in driving.items())
+
+
 def test_bgk_linear_block_is_jacobian_at_origin():
     model = lattice.build_lattice("D1Q3")
     tau = 0.9
     driving = carleman.bgk_driving(model, tau)
     system = carleman.linearize(driving, 2)
     assert len(system.variables) == 9
-
-    def rate(f):
-        out = np.zeros(3)
-        for e, coeff in driving.items():
-            out += coeff * np.prod(f ** np.array(e))
-        return out
-
     h = 1e-6
     jac = np.empty((3, 3))
     for j in range(3):
         d = np.zeros(3)
         d[j] = h
-        jac[:, j] = (rate(d) - rate(-d)) / (2 * h)
+        jac[:, j] = (_rate(driving, d) - _rate(driving, -d)) / (2 * h)
     assert np.max(np.abs(system.C[:3, :3] - jac)) < 1e-6
 
 
@@ -169,10 +166,32 @@ def test_bgk_driving_matches_relaxation_rate():
     for _ in range(5):
         f = rng.uniform(0.05, 0.5, size=3)
         want = -(f - mc.equilibrium(f)) / 0.7
-        got = np.zeros(3)
-        for e, coeff in driving.items():
-            got += coeff * np.prod(f ** np.array(e))
-        assert np.max(np.abs(got - want)) < 1e-13
+        assert np.max(np.abs(_rate(driving, f) - want)) < 1e-13
+    # past 1-D the trace closure of mode_coupling is not the equilibrium, so
+    # unit-mass points are checked against the rho-normalized grid formula
+    for name in ("D2Q9", "D3Q27"):
+        model = lattice.build_lattice(name)
+        driving = carleman.bgk_driving(model, 0.7)
+        for _ in range(5):
+            f = rng.uniform(0.05, 0.5, size=model.Q)
+            f /= f.sum()
+            want = -(f - classical.equilibrium(f, model)) / 0.7
+            assert np.max(np.abs(_rate(driving, f) - want)) < 1e-13
+
+
+def test_order_two_bgk_closure_is_exact_d2q9():
+    # the momentum is conserved and enters feq only through its square, so
+    # the truncated degree-3 feeds cancel and feq stays at its initial value
+    model = lattice.build_lattice("D2Q9")
+    tau, dt, steps = 0.9, 1e-3, 1500
+    system = carleman.linearize(carleman.bgk_driving(model, tau), 2)
+    f0 = np.random.default_rng(11).uniform(0.05, 0.5, size=model.Q)
+    f0 /= f0.sum()
+    hist = carleman.evolve_system(system, system.initial_state(f0), dt, steps)
+    feq = classical.equilibrium(f0, model)
+    t = dt * np.arange(steps + 1)[:, None]
+    want = feq + np.exp(-t / tau) * (f0 - feq)
+    assert np.max(np.abs(hist[:, : model.Q] - want)) < 1e-11
 
 
 def test_closed_d1q3_matches_nonlinear_map():

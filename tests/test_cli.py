@@ -1,8 +1,13 @@
 """Command-line driver: parsing, exit codes, and output artifacts."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import qalb
 from qalb import cli
 
 
@@ -249,3 +254,23 @@ def test_grid_stream_needs_no_f0(tmp_path):
     assert code == 0
     lines = _read(out)
     assert len(lines) == 1 + 2 * 16  # header + 16 sites at each of 2 times
+
+
+def test_package_runs_without_scipy(tmp_path):
+    # scipy is a test-only dependency: importing every module and running a
+    # default quantum call must not load it
+    code = (
+        "import importlib, pkgutil, sys, qalb\n"
+        "for mod in pkgutil.iter_modules(qalb.__path__):\n"
+        "    importlib.import_module('qalb.' + mod.name)\n"
+        "from qalb import cli\n"
+        f"assert cli.main(['quantum', '--out', {str(tmp_path / 'q.csv')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(qalb.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"

@@ -214,6 +214,18 @@ def test_hermitized_preserves_norm_and_mass():
     assert np.max(np.abs(res.mass - 1.0)) < 0.01
 
 
+def test_decode_outside_input_domain_flags():
+    # a clean certificate does not keep the decoded values bounded: from
+    # this start both modes drift past the encodable range within 1500 steps
+    s = _setup(2)
+    for mode in engine.MODES:
+        res = engine.evolve_quantum_0d(s, np.array([0.1, 0.1, 0.8]), 1500, mode)
+        assert res.flagged
+        assert res.flag_reason == "decoded population outside [-1, 1]"
+        assert np.all(np.abs(res.decoded[: res.flag_step]) <= 1.0)
+        assert np.any(np.abs(res.decoded[res.flag_step]) > 1.0)
+
+
 def test_relative_error_nan_sentinel():
     errs, zeros = engine.relative_error(np.array([1.0, 2.0]), np.array([0.0, 2.0]))
     assert np.isnan(errs[0]) and errs[1] == 0.0
