@@ -34,6 +34,22 @@ def model_for_dim(D):
         raise ValueError(f"no lattice in {D} dimensions") from None
 
 
+def check_tau(tau, dt):
+    """TauTooSmall unless tau > dt/2, which keeps the relaxation factor
+    1 - dt/tau inside (-1, 1)."""
+    if tau <= dt / 2.0:
+        raise TauTooSmall(f"tau must exceed dt/2 = {dt / 2.0}, got {tau}")
+
+
+def _density(f, axis):
+    """Sum of f over its direction axis; ZeroDensity unless every site is
+    positive."""
+    rho = f.sum(axis=axis)
+    if np.any(rho <= 0.0):
+        raise ZeroDensity("density must be positive at every site")
+    return rho
+
+
 def site_moments(f, model):
     """Density and rho-normalized velocity of per-site densities.
 
@@ -43,20 +59,23 @@ def site_moments(f, model):
     f = np.asarray(f, dtype=float)
     if f.shape[-1] != model.Q:
         raise ValueError(f"last axis must have length {model.Q}, got {f.shape}")
-    rho = f.sum(axis=-1)
-    if np.any(rho <= 0.0):
-        raise ZeroDensity("density must be positive at every site")
+    rho = _density(f, -1)
     u = (f @ model.velocities) / rho[..., None]
     return rho, u
 
 
+def _bgk_polynomial(rho_w, cu, uu):
+    """Quadratic equilibrium rho w_i (1 + 3 c.u + 9/2 (c.u)^2 - 3/2 u.u)
+    from rho w_i, c_i.u and u.u.  The three broadcast together, so one
+    formula serves site-major (..., Q) arrays and single direction planes."""
+    return rho_w * (1.0 + 3.0 * cu + 4.5 * cu * cu - 1.5 * uu)
+
+
 def _equilibrium(model, rho, u):
-    """Quadratic equilibrium rho w_i (1 + 3 c.u + 9/2 (c.u)^2 - 3/2 u.u)."""
+    """Site-major equilibrium (..., Q) at density rho and velocity u."""
     cu = u @ model.velocities.T.astype(float)
     uu = np.einsum("...d,...d->...", u, u)
-    return rho[..., None] * model.weights * (
-        1.0 + 3.0 * cu + 4.5 * cu * cu - 1.5 * uu[..., None]
-    )
+    return _bgk_polynomial(rho[..., None] * model.weights, cu, uu[..., None])
 
 
 def equilibrium_terms(model, i):
@@ -92,7 +111,13 @@ def equilibrium(f, model):
 
 @dataclass(frozen=True)
 class DistributionField:
-    """Site-major distribution field of shape (*grid, Q)."""
+    """Distribution field of shape (*grid, Q), stored direction-major.
+
+    data is the (*grid, Q) array callers read.  It is an np.moveaxis view
+    of the C-contiguous (Q, *grid) buffer `planes`, so each population is
+    one contiguous plane.  Site-major input is copied into that layout
+    once, here; fields returned by collide and stream need no copy.
+    """
 
     model: object
     data: np.ndarray = field(repr=False)
@@ -105,9 +130,15 @@ class DistributionField:
                 f"field must have shape (*grid, {m.Q}) with "
                 f"{m.D} grid axes, got {data.shape}"
             )
-        if not np.all(np.isfinite(data)):
+        planes = np.ascontiguousarray(np.moveaxis(data, -1, 0))
+        if not np.all(np.isfinite(planes)):
             raise ValueError("field entries must be finite")
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", np.moveaxis(planes, 0, -1))
+
+    @property
+    def planes(self):
+        """The C-contiguous (Q, *grid) buffer behind data."""
+        return np.moveaxis(self.data, -1, 0)
 
     @classmethod
     def from_equilibrium(cls, model, rho, u):
@@ -121,15 +152,29 @@ def collide(fld, tau, dt):
 
     Density and velocity are invariant; the guard tau > dt/2 keeps the
     relaxation factor 1 - dt/tau inside (-1, 1).  ZeroDensity guards
-    positivity.  Returns a new field.
+    positivity.  Works plane by plane on the direction-major storage.
+    Returns a new field.
     """
-    if tau <= dt / 2.0:
-        raise TauTooSmall(f"tau must exceed dt/2 = {dt / 2.0}, got {tau}")
+    check_tau(tau, dt)
     m = fld.model
-    # one (sites, Q) matrix: stacked matmul sums the moments in another order
-    f = fld.data.reshape(-1, m.Q)
-    out = f - (dt / tau) * (f - equilibrium(f, m))
-    return DistributionField(m, out.reshape(fld.data.shape))
+    planes = fld.planes
+    f = planes.reshape(m.Q, -1)
+    rho = _density(f, 0)
+    c = m.velocities.astype(float)
+    u = (c.T @ f) / rho
+    uu = np.einsum("dn,dn->n", u, u)
+    lam = dt / tau
+    out = np.empty(planes.shape)
+    relaxed = out.reshape(m.Q, -1)
+    cu = np.empty(rho.shape)
+    for i in range(m.Q):
+        np.matmul(c[i], u, out=cu)
+        # the fresh feq plane also holds f - feq and its scaled copy
+        feq = _bgk_polynomial(rho * m.weights[i], cu, uu)
+        np.subtract(f[i], feq, out=feq)
+        feq *= lam
+        np.subtract(f[i], feq, out=relaxed[i])
+    return DistributionField(m, np.moveaxis(out, 0, -1))
 
 
 def stream(fld):
@@ -140,12 +185,13 @@ def stream(fld):
     field.
     """
     m = fld.model
-    out = np.empty_like(fld.data)
+    src = fld.planes
+    out = np.empty(src.shape)
     axes = tuple(range(m.D))
     for i in range(m.Q):
         shift = tuple(int(s) for s in m.velocities[i])
-        out[..., i] = np.roll(fld.data[..., i], shift, axis=axes)
-    return DistributionField(m, out)
+        out[i] = np.roll(src[i], shift, axis=axes)
+    return DistributionField(m, np.moveaxis(out, 0, -1))
 
 
 def step(fld, tau, dt):
@@ -160,8 +206,7 @@ def evolve_0d(f0, tau, dt, steps):
     conserved the local equilibrium is a fixed point, so f(t) - feq
     shrinks geometrically by the factor 1 - dt/tau per step.
     """
-    if tau <= dt / 2.0:
-        raise TauTooSmall(f"tau must exceed dt/2 = {dt / 2.0}, got {tau}")
+    check_tau(tau, dt)
     f = np.asarray(f0, dtype=float).copy()
     model = model_for_q(f.shape[-1] if f.ndim else 0)
     if f.shape != (model.Q,):

@@ -250,6 +250,7 @@ def cmd_classical(config):
             rows.append([k * dt, *series[k], rho, *np.atleast_1d(u)])
     else:
         header = ["t", "site"] + fcols + ["rho"] + ucols
+        classical.check_tau(config["tau"], dt)
         sites = config["sites"]
         shape = (sites,) * model.D
         total = int(np.prod(shape))
@@ -265,7 +266,7 @@ def cmd_classical(config):
                     [k * dt, s, *flat[s], rho[s], *np.atleast_2d(u)[s]]
                 )
             if k < steps:
-                fld = classical.stream(fld)
+                fld = classical.step(fld, config["tau"], dt)
     write_csv(config["out"], header, rows)
     print(f"classical: wrote {len(rows)} rows to {config['out']}")
     return 0
@@ -551,7 +552,7 @@ def main(argv=None):
     )
     sub = parser.add_subparsers(dest="command", required=True)
     helps = {
-        "classical": "relaxation reference series (0d or grid streaming)",
+        "classical": "relaxation reference series (0d or grid BGK steps)",
         "quantum": "encoded-register collision runs vs the reference",
         "carleman": "logistic truncation error curves",
         "streaming-demo": "shift-circuit dump and basis-walk tables",

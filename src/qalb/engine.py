@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import classical, fock
-from .errors import OutOfRange, TauTooSmall, TooLarge
+from .errors import OutOfRange, TooLarge
 from .linalg import expm, one_blas_thread
 
 CERTIFICATE_MARGIN = 1.01
@@ -96,10 +96,7 @@ class CollisionSetup:
     )
 
     def __post_init__(self):
-        if self.tau <= self.dt / 2.0:
-            raise TauTooSmall(
-                f"tau must exceed dt/2 = {self.dt / 2.0}, got {self.tau}"
-            )
+        classical.check_tau(self.tau, self.dt)
         if self.dim > _DIM_LIMIT:
             raise TooLarge(
                 f"register dimension {self.dim} exceeds {_DIM_LIMIT}; "

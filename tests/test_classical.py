@@ -104,6 +104,73 @@ def test_stream_exact_and_periodic():
         assert sorted(once.data[..., i].ravel()) == sorted(fld.data[..., i].ravel())
 
 
+def _reference_step(f, model, tau, dt):
+    """Site-major BGK update, then np.roll of each population."""
+    c = model.velocities.astype(float)
+    rho = f.sum(axis=-1)
+    u = (f @ c) / rho[..., None]
+    cu = u @ c.T
+    uu = (u * u).sum(axis=-1)[..., None]
+    feq = rho[..., None] * model.weights * (1 + 3 * cu + 4.5 * cu**2 - 1.5 * uu)
+    post = f - (dt / tau) * (f - feq)
+    out = np.empty_like(post)
+    for i, ci in enumerate(model.velocities):
+        shift = tuple(int(s) for s in ci)
+        out[..., i] = np.roll(post[..., i], shift, axis=tuple(range(model.D)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "name, grid", [("D1Q3", (64,)), ("D2Q9", (16, 12)), ("D3Q27", (6, 5, 4))]
+)
+def test_step_matches_site_major_reference(name, grid):
+    m = lattice.build_lattice(name)
+    rng = np.random.default_rng(4)
+    data = m.weights * rng.uniform(0.8, 1.2, size=(*grid, m.Q))
+    kept = data.copy()
+    fld, want = classical.DistributionField(m, data), data
+    for _ in range(5):
+        fld = classical.step(fld, 0.8, 1.0)
+        want = _reference_step(want, m, 0.8, 1.0)
+    assert np.max(np.abs(fld.data - want)) < 1e-14
+    mass = data.sum()
+    momentum = data.reshape(-1, m.Q) @ m.velocities
+    after = fld.data.reshape(-1, m.Q) @ m.velocities
+    assert abs(fld.data.sum() - mass) < 1e-12 * mass
+    assert np.max(np.abs(after.sum(axis=0) - momentum.sum(axis=0))) < 1e-12 * mass
+    assert np.array_equal(data, kept)  # input untouched
+
+
+def test_step_keeps_direction_major_planes():
+    rng = np.random.default_rng(5)
+    data = D2Q9.weights * rng.uniform(0.8, 1.2, size=(16, 12, 9))
+    out = classical.step(classical.DistributionField(D2Q9, data), 0.8, 1.0)
+    assert out.data.shape == (16, 12, 9)
+    assert np.moveaxis(out.data, -1, 0).flags.c_contiguous
+    planes = np.ascontiguousarray(np.moveaxis(data, -1, 0))
+    again = classical.step(
+        classical.DistributionField(D2Q9, np.moveaxis(planes, 0, -1)), 0.8, 1.0
+    )
+    assert np.array_equal(out.data, again.data)
+
+
+def test_step_guards():
+    data = np.full((4, 4, 9), 1.0 / 9.0)
+    with pytest.raises(TauTooSmall):
+        classical.step(classical.DistributionField(D2Q9, data), 0.4, 1.0)
+    data[1, 2] = 0.0
+    with pytest.raises(ZeroDensity):
+        classical.step(classical.DistributionField(D2Q9, data), 0.8, 1.0)
+    data[1, 2] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        classical.DistributionField(D2Q9, data)
+    # a density that overflows gives a non-finite relaxed field
+    data[1, 2] = 1e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            classical.step(classical.DistributionField(D2Q9, data), 0.8, 1.0)
+
+
 def test_evolve_0d_shape_and_first_step():
     f0 = np.array([0.6, 0.1, 0.3])
     hist = classical.evolve_0d(f0, 1.0, 0.1, 20)

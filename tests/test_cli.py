@@ -256,6 +256,38 @@ def test_grid_stream_needs_no_f0(tmp_path):
     assert len(lines) == 1 + 2 * 16  # header + 16 sites at each of 2 times
 
 
+def test_grid_stream_collides_and_conserves(tmp_path):
+    out = tmp_path / "g.csv"
+    code = cli.main(
+        ["classical", "--set", "run=grid-stream", "--set", "lattice=d2q9",
+         "--set", "sites=4", "--set", "steps=3", "--set", "tau=0.6",
+         "--set", "dt=1", "--out", str(out)]
+    )
+    assert code == 0
+    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    c = qalb.lattice.build_lattice("D2Q9").velocities
+    slices = [data[data[:, 0] == t, 2:11] for t in range(4)]
+    mass = [f.sum() for f in slices]
+    momentum = [(f @ c).sum(axis=0) for f in slices]
+    for k in range(1, 4):
+        assert abs(mass[k] - mass[0]) <= 1e-12 * mass[0]
+        assert np.max(np.abs(momentum[k] - momentum[0])) <= 1e-12 * mass[0]
+    # a pure shift keeps each population's multiset; collision does not
+    assert sorted(slices[1][:, 0]) != sorted(slices[0][:, 0])
+
+
+@pytest.mark.parametrize("steps", ["steps=0", "steps=50"])
+def test_grid_stream_guards_tau(tmp_path, capsys, steps):
+    out = tmp_path / "g.csv"
+    code = cli.main(
+        ["classical", "--set", "run=grid-stream", "--set", "tau=0.0004",
+         "--set", "dt=0.001", "--set", steps, "--out", str(out)]
+    )
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numeric guard:") and "Traceback" not in err
+
+
 def test_package_runs_without_scipy(tmp_path):
     # scipy is a test-only dependency: importing every module and running a
     # default quantum call must not load it
