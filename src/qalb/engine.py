@@ -59,26 +59,6 @@ def relative_error(quantum, reference):
     return out, int(np.count_nonzero(~mask))
 
 
-def _sigma_max(U, iters=120, seed=7):
-    """Power iteration on U^T U from a seeded complex start vector, carried
-    as its real and imaginary parts because U is real."""
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=U.shape[0]) + 1j * rng.normal(size=U.shape[0])
-    v /= np.linalg.norm(v)
-    re, im = v.real, v.imag
-    s = 0.0
-    for _ in range(iters):
-        re = U.T @ (U @ re)
-        im = U.T @ (U @ im)
-        nw = np.hypot(np.linalg.norm(re), np.linalg.norm(im))
-        if nw == 0.0:
-            return 0.0
-        re /= nw
-        im /= nw
-        s = nw
-    return float(np.sqrt(s))
-
-
 @dataclass(frozen=True)
 class CollisionSetup:
     """A lattice model bound to per-mode registers and a relaxation clock.
@@ -200,22 +180,95 @@ def propagator(setup, mode):
 
 
 def certificate(setup, mode):
-    """Spectral-norm divergence certificate of the one-step propagator.
+    """Fail-closed divergence certificate of the one-step propagator.
 
-    A faithful step must keep its largest singular value within
-    e^{dt (Q - D) / (2 tau)}; exceeding that envelope by more than 1
-    percent marks the setup as divergent before any state is evolved.
-    Returns (sigma_max, growth_bound, flagged).
+    sigma = e^mu, with mu a certified upper bound on the largest eigenvalue
+    of S = (A + A^T)/2, A = dt G, is an upper bound on ||expm(A)||_2: the
+    logarithmic norm (Soderlind, "The logarithmic norm. History and modern
+    theory", BIT 46 (2006) 631).  So the certificate may over-flag, never
+    under-flag.  A faithful step must keep its growth within
+    e^{dt (Q - D) / (2 tau)}; sigma above that envelope by more than 1
+    percent marks the setup as divergent before any state is evolved.  In
+    hermitized mode A is exactly antisymmetric, so S is 0 and sigma is
+    exactly 1.  Returns (sigma, growth_bound, flagged).
     """
     key = ("cert", mode)
     if key not in setup._cache:
-        U = propagator(setup, mode)
+        A = setup.dt * generator(setup, mode)
+        S = np.add(A, A.T)
+        del A
+        S *= 0.5
         with one_blas_thread():
-            smax = _sigma_max(U)
+            sigma = exp(_lambda_max_bound(S))
         model = setup.model
         bound = dissipation_factor(1.0, setup.dt, setup.tau, model.Q, model.D)
-        setup._cache[key] = (smax, bound, smax > bound * CERTIFICATE_MARGIN)
+        setup._cache[key] = (sigma, bound, sigma > bound * CERTIFICATE_MARGIN)
     return setup._cache[key]
+
+
+def _lambda_max_bound(S, seed=7):
+    """An upper bound mu on the largest eigenvalue of the real symmetric S,
+    certified by a Cholesky factorization of t I - S.
+
+    Lanczos gives a Ritz value theta with residual r.  A Ritz value lies
+    below lambda_max, so it only places the shift t = theta + delta, with
+    delta >= max(r, n u ||S||).  A Cholesky factorization that completes in
+    floating point is exact for t I - S + E with
+    ||E||_2 <= eta = 2 (n + 1) u tr(t I - S), which covers its backward
+    error (Demmel; Higham, "Accuracy and Stability of Numerical
+    Algorithms", 2nd ed., Thm 10.5) and the rounding of t - S_ii; then
+    lambda_max(S) <= t + eta = mu.  When it fails, delta grows tenfold.  mu
+    never exceeds the Gershgorin bound, which needs no factorization.
+    """
+    n = S.shape[0]
+    u = np.finfo(float).eps / 2.0
+    diag = np.diag(S).copy()
+    rows = np.abs(S).sum(axis=1)
+    norm = float(np.max(rows))  # ||S||_inf >= ||S||_2
+    slack = 2.0 * (n + 1) * u
+    cap = float(np.max(diag - np.abs(diag) + rows)) + slack * norm
+    theta, r = _lanczos_top(S, n * u * norm, seed)
+    delta = max(r, n * u * norm)
+    M = np.empty_like(S)
+    while True:
+        t = theta + delta
+        mu = t + slack * float(np.sum(np.abs(t - diag)))
+        if mu >= cap:
+            return cap
+        np.negative(S, out=M)
+        M.reshape(-1)[:: n + 1] += t
+        try:
+            np.linalg.cholesky(M)
+        except np.linalg.LinAlgError:
+            delta *= 10.0
+            continue
+        return mu
+
+
+def _lanczos_top(S, tol, seed, max_steps=300):
+    """Largest Ritz value of the symmetric S and its residual norm, from
+    Lanczos with full reorthogonalization and a seeded start vector,
+    stopped once the residual is at most tol."""
+    n = S.shape[0]
+    steps = min(n, max_steps)
+    V = np.empty((steps, n))
+    T = np.zeros((steps, steps))
+    v = np.random.default_rng(seed).standard_normal(n)
+    v /= np.linalg.norm(v)
+    for k in range(steps):
+        V[k] = v
+        w = S @ v
+        T[k, k] = v @ w
+        basis = V[: k + 1]
+        for _ in range(2):  # twice is enough (Parlett)
+            w -= basis.T @ (basis @ w)
+        beta = float(np.linalg.norm(w))
+        vals, vecs = np.linalg.eigh(T[: k + 1, : k + 1])
+        theta, r = float(vals[-1]), beta * abs(float(vecs[-1, -1]))
+        if r <= tol or k + 1 == steps:
+            return theta, r
+        T[k, k + 1] = T[k + 1, k] = beta
+        v = w / beta
 
 
 def initial_state(setup, f0, init="exact"):

@@ -2,7 +2,9 @@
 
 Criterion 7 is split over two tests: the columns of the linear block sum
 to 1 and the quadratic block has zero trace over its first index, while
-the rows of the linear block sum to Q w_i (sum_j c_j = 0).
+the rows of the linear block sum to Q w_i (sum_j c_j = 0).  One more test
+checks the qc=4 propagators; it reuses the criterion-5 fixture, so the
+dense qc=4 build runs once.
 """
 
 import time
@@ -11,6 +13,8 @@ from math import prod
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
 from qalb import (
     bounds,
@@ -132,6 +136,7 @@ def quantum_runs():
     runs["h4"] = engine.evolve_quantum_0d(s4, F0, 1000, mode="hermitized",
                                           init="translation")
     runs["t_qc4"] = time.perf_counter() - t0
+    runs["s4"] = s4
     return runs
 
 
@@ -143,6 +148,19 @@ def test_criterion_05a_nonhermitian_qc4_flags(quantum_runs):
     print(f"ACCEPTANCE 5a PASS: non-Hermitian qc=4 flagged at step "
           f"{res.flag_step} ({res.flag_reason}); qc=4 phase "
           f"{quantum_runs['t_qc4']:.0f}s within budget")
+
+
+def test_qc4_propagators_match_expm_action(quantum_runs):
+    # the dense qc=4 propagators against scipy's action of the exponential
+    # on the sparse generator, independent of the Pade degree and the
+    # band-limited products
+    s4 = quantum_runs["s4"]
+    V = np.random.default_rng(4).standard_normal((s4.dim, 3))
+    for mode in engine.MODES:
+        A = scipy.sparse.csr_array(s4.dt * engine.generator(s4, mode))
+        want = scipy.sparse.linalg.expm_multiply(A, V)
+        gap = np.max(np.abs(engine.propagator(s4, mode) @ V - want))
+        assert gap <= 1e-14 * np.max(np.abs(want))
 
 
 def test_criterion_05b_nonhermitian_qc2_tracks(quantum_runs):

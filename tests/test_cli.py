@@ -192,6 +192,22 @@ def test_quantum_flagged_exit_code(tmp_path, monkeypatch):
     assert out.exists()
 
 
+def test_quantum_certificate_flags_qc3_from_step_zero(tmp_path, capsys):
+    # the one-step growth bound of the qc=3 non-Hermitian propagator is above
+    # the threshold, so the run is flagged before the first step
+    out = tmp_path / "q.csv"
+    code = cli.main(
+        ["quantum", "--set", "qc=3", "--set", "mode=nonhermitian",
+         "--set", "steps=50", "--out", str(out)]
+    )
+    assert code == 4
+    assert "Traceback" not in capsys.readouterr().err
+    header = _read(out)[0].split(",")
+    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert data.shape == (51, len(header))
+    assert np.all(data[:, header.index("nonhermitian_qc3_flag")] == 1.0)
+
+
 _COMMANDS = tuple(cli._COMMANDS)  # all six subcommands
 _STEPS_KEY = {"complexity": "T"}
 

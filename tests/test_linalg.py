@@ -45,11 +45,72 @@ def test_expm_leaves_argument_unchanged(scale, complex_input):
     if complex_input:
         a = a + 1j * scale * rng.standard_normal((12, 12))
     # both sides of theta_13, so the scaling branch runs for the large one
-    assert (np.linalg.norm(a, 1) > linalg._THETA13) == (scale > 0.5)
+    assert (np.linalg.norm(a, 1) > linalg._THETA[13]) == (scale > 0.5)
     before = a.copy()
     linalg.expm(a)
     linalg.expm(a, tol=1e-6)
     assert np.array_equal(a, before)
+
+
+def _scaled(rng, n, norm, complex_input, band=None):
+    a = rng.standard_normal((n, n))
+    if complex_input:
+        a = a + 1j * rng.standard_normal((n, n))
+    if band is not None:
+        # lower and upper bandwidths differ, so both sides of the band count
+        a = np.tril(np.triu(a, -band), band // 2)
+    return a * (norm / np.linalg.norm(a, 1))
+
+
+@pytest.mark.parametrize("m", sorted(linalg._THETA))
+@pytest.mark.parametrize("banded", [False, True], ids=["dense", "banded"])
+@pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
+def test_expm_each_degree_matches_scipy(m, banded, complex_input):
+    # just below and just above each theta_m, so every degree and every
+    # switch between them runs; the banded size is past two row blocks even
+    # for A^6, so the band-limited products are blocked
+    rng = np.random.default_rng(m)
+    n, band = (2 * linalg._ROWS + 37, 3) if banded else (40, None)
+    for side in (0.99, 1.01):
+        a = _scaled(rng, n, side * linalg._THETA[m], complex_input, band)
+        before = a.copy()
+        ref = scipy.linalg.expm(a)
+        assert np.max(np.abs(linalg.expm(a) - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.array_equal(a, before)
+
+
+@pytest.mark.parametrize("m", [7, 9])
+@pytest.mark.parametrize("factor", [0.999, 1.25])
+def test_expm_degree_boundaries_on_diagonal(m, factor):
+    # random matrices stay accurate past a wrong theta; a diagonal at the
+    # threshold does not: degree 7 or 9 used 25% past its theta misses
+    # exp by 3e-15 or more, the right degree by under 4e-16
+    d = factor * linalg._THETA[m] * np.array([1.0, -1.0, 0.5, -0.25])
+    got = np.diag(linalg.expm(np.diag(d)))
+    assert np.max(np.abs(got - np.exp(d)) / np.exp(d)) <= 1e-15
+
+
+@pytest.mark.parametrize("band", ["0", "1", "n-1", "n", "2n"])
+def test_band_matmul_matches_matmul(band):
+    n = 2 * linalg._ROWS + 37  # not a multiple of the row block
+    b = {"0": 0, "1": 1, "n-1": n - 1, "n": n, "2n": 2 * n}[band]
+    rng = np.random.default_rng(3)
+    i, j = np.indices((n, n))
+    L = np.where(np.abs(i - j) <= b, rng.standard_normal((n, n)), 0.0)
+    R = rng.standard_normal((n, n))
+    assert linalg._bandwidth(L) == min(b, n - 1)
+    want = L @ R
+    got = linalg._band_matmul(L, R, b, np.empty_like(R))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_bandwidth_reads_the_wider_side():
+    a = np.zeros((9, 9))
+    assert linalg._bandwidth(a) == 0
+    a[8, 3] = 1.0  # lower band 5
+    a[1, 3] = -2.0  # upper band 2
+    assert linalg._bandwidth(a) == 5
+    assert linalg._bandwidth(a.T.astype(complex)) == 5
 
 
 def test_expm_tolerance_check():
