@@ -206,7 +206,7 @@ def certificate(setup, mode):
     return setup._cache[key]
 
 
-def _lambda_max_bound(S, seed=7):
+def _lambda_max_bound(S):
     """An upper bound mu on the largest eigenvalue of the real symmetric S,
     certified by a Cholesky factorization of t I - S.
 
@@ -222,12 +222,12 @@ def _lambda_max_bound(S, seed=7):
     """
     n = S.shape[0]
     u = np.finfo(float).eps / 2.0
-    diag = np.diag(S).copy()
+    diag = np.diag(S)
     rows = np.abs(S).sum(axis=1)
     norm = float(np.max(rows))  # ||S||_inf >= ||S||_2
     slack = 2.0 * (n + 1) * u
     cap = float(np.max(diag - np.abs(diag) + rows)) + slack * norm
-    theta, r = _lanczos_top(S, n * u * norm, seed)
+    theta, r = _lanczos_top(S, n * u * norm)
     delta = max(r, n * u * norm)
     M = np.empty_like(S)
     while True:
@@ -239,21 +239,20 @@ def _lambda_max_bound(S, seed=7):
         M.reshape(-1)[:: n + 1] += t
         try:
             np.linalg.cholesky(M)
+            return mu
         except np.linalg.LinAlgError:
             delta *= 10.0
-            continue
-        return mu
 
 
-def _lanczos_top(S, tol, seed, max_steps=300):
+def _lanczos_top(S, tol):
     """Largest Ritz value of the symmetric S and its residual norm, from
-    Lanczos with full reorthogonalization and a seeded start vector,
-    stopped once the residual is at most tol."""
+    at most 300 Lanczos steps with full reorthogonalization and a seeded
+    start vector, stopped once the residual is at most tol."""
     n = S.shape[0]
-    steps = min(n, max_steps)
+    steps = min(n, 300)
     V = np.empty((steps, n))
     T = np.zeros((steps, steps))
-    v = np.random.default_rng(seed).standard_normal(n)
+    v = np.random.default_rng(7).standard_normal(n)
     v /= np.linalg.norm(v)
     for k in range(steps):
         V[k] = v

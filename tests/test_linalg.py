@@ -8,6 +8,18 @@ from qalb import linalg
 from qalb.errors import ConvergenceFailure, DimMismatch, NonFinite, TooLarge
 
 
+# Higham (2005), Table 2.3: the largest 1-norm at which Pade degree m is
+# accurate to unit roundoff; written out here so a wrong table in linalg
+# shows as a wrong degree
+THETA = {
+    3: 1.495585217958292e-2,
+    5: 2.539398330063230e-1,
+    7: 9.504178996162932e-1,
+    9: 2.097847961257068e0,
+    13: 5.371920351148152e0,
+}
+
+
 def test_expm_zero_and_identity():
     assert np.max(np.abs(linalg.expm(np.zeros((4, 4))) - np.eye(4))) < 1e-15
     out = linalg.expm(np.eye(3))
@@ -45,7 +57,7 @@ def test_expm_leaves_argument_unchanged(scale, complex_input):
     if complex_input:
         a = a + 1j * scale * rng.standard_normal((12, 12))
     # both sides of theta_13, so the scaling branch runs for the large one
-    assert (np.linalg.norm(a, 1) > linalg._THETA[13]) == (scale > 0.5)
+    assert (np.linalg.norm(a, 1) > THETA[13]) == (scale > 0.5)
     before = a.copy()
     linalg.expm(a)
     linalg.expm(a, tol=1e-6)
@@ -62,7 +74,7 @@ def _scaled(rng, n, norm, complex_input, band=None):
     return a * (norm / np.linalg.norm(a, 1))
 
 
-@pytest.mark.parametrize("m", sorted(linalg._THETA))
+@pytest.mark.parametrize("m", sorted(THETA))
 @pytest.mark.parametrize("banded", [False, True], ids=["dense", "banded"])
 @pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
 def test_expm_each_degree_matches_scipy(m, banded, complex_input):
@@ -72,7 +84,7 @@ def test_expm_each_degree_matches_scipy(m, banded, complex_input):
     rng = np.random.default_rng(m)
     n, band = (2 * linalg._ROWS + 37, 3) if banded else (40, None)
     for side in (0.99, 1.01):
-        a = _scaled(rng, n, side * linalg._THETA[m], complex_input, band)
+        a = _scaled(rng, n, side * THETA[m], complex_input, band)
         before = a.copy()
         ref = scipy.linalg.expm(a)
         assert np.max(np.abs(linalg.expm(a) - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -85,7 +97,7 @@ def test_expm_degree_boundaries_on_diagonal(m, factor):
     # random matrices stay accurate past a wrong theta; a diagonal at the
     # threshold does not: degree 7 or 9 used 25% past its theta misses
     # exp by 3e-15 or more, the right degree by under 4e-16
-    d = factor * linalg._THETA[m] * np.array([1.0, -1.0, 0.5, -0.25])
+    d = factor * THETA[m] * np.array([1.0, -1.0, 0.5, -0.25])
     got = np.diag(linalg.expm(np.diag(d)))
     assert np.max(np.abs(got - np.exp(d)) / np.exp(d)) <= 1e-15
 
