@@ -44,6 +44,11 @@ _B = {
          16380.0, 182.0, 1.0),
 }
 
+# Even powers A^2 .. A^(2k) formed for each degree.  Terms above A^(2k) are
+# grouped as A^(2k) (...): at degree 13 that avoids A^8 .. A^12, and at
+# degree 9 it keeps A^6 and A^8 out of memory for the same five products.
+_POWERS = {3: 1, 5: 2, 7: 3, 9: 2, 13: 3}
+
 # Rows per block of a band-limited product.
 _ROWS = 256
 
@@ -100,17 +105,19 @@ def expm(A, tol=None):
     if n == 0:
         return A
     norm = np.linalg.norm(A, 1)
-    m = next((m for m, theta in _THETA.items() if norm <= theta), 13)
+    m = next((k for k, theta in _THETA.items() if norm <= theta), 13)
     s = 0
     if norm > _THETA[13]:
         s = int(np.ceil(np.log2(norm / _THETA[13])))
         A /= 2.0 ** s
-    # Full-size buffers (134 MB each at n = 4096) are reused.  A^k lies
-    # within k times the bandwidth of A, which every power product uses.
+    # At most seven full-size buffers (134 MB each at n = 4096), reused.
+    # A^k lies within k times the bandwidth of A, which every product with
+    # a power of A on the left uses.
     b = _bandwidth(A)
     powers = [_band_matmul(A, A, b, np.empty_like(A))]
-    while len(powers) < (3 if m == 13 else m // 2):
-        powers.append(_band_matmul(powers[0], powers[-1], 2 * b, np.empty_like(A)))
+    while len(powers) < _POWERS[m]:
+        P = _band_matmul(powers[0], powers[-1], 2 * b, np.empty_like(A))
+        powers.append(P)
     tmp = np.empty_like(A)
     V = _pade_sum(powers, _B[m][0::2], b, np.empty_like(A), tmp)
     W = _pade_sum(powers, _B[m][1::2], b, np.empty_like(A), tmp)
@@ -159,10 +166,10 @@ def _band_matmul(L, R, b, out):
 
 
 def _pade_sum(powers, c, b, out, tmp):
-    """sum_k c[k] A^(2k) into out, from powers = [A^2, A^4, ...] of an A
-    with bandwidth b, using tmp as scratch.  At degree 13 the terms past
-    A^6 are grouped as A^6 (c[4] A^2 + c[5] A^4 + c[6] A^6), so no higher
-    power is formed."""
+    """sum_j c[j] A^(2j) into out, from powers = [A^2, .., A^(2k)] of an A
+    with bandwidth b, using tmp as scratch.  Terms past A^(2k) are grouped
+    as A^(2k) (c[k+1] A^2 + c[k+2] A^4 + ...), so no higher power is
+    formed."""
     k = len(powers)
     if len(c) > k + 1:
         np.multiply(powers[0], c[k + 1], out=tmp)
