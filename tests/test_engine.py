@@ -172,6 +172,33 @@ def test_certificate_values():
             assert flagged == (qubits == 3 and mode == "nonhermitian")
 
 
+@pytest.mark.parametrize("qubits", [1, 2, 3])
+@pytest.mark.parametrize("mode", engine.MODES)
+def test_certificate_keeps_complex_power_iteration(qubits, mode):
+    # 120 iterations of U^dag U from the seeded complex start, in complex
+    # arithmetic on the oracle propagator, give a Ritz estimate that reads
+    # below ||U||_2; the certificate stays above it and flags whenever it does
+    s = _setup(qubits)
+    U = _oracle_propagator(s, mode)
+    rng = np.random.default_rng(7)
+    v = rng.normal(size=s.dim) + 1j * rng.normal(size=s.dim)
+    v /= np.linalg.norm(v)
+    for _ in range(120):
+        w = U.conj().T @ (U @ v)
+        nw = np.linalg.norm(w)
+        v = w / nw
+    estimate = np.sqrt(nw)
+    sigma, bound, flagged = engine.certificate(s, mode)
+    assert estimate <= sigma + 1e-12
+    threshold = bound * engine.CERTIFICATE_MARGIN
+    if estimate > threshold:
+        assert flagged
+    # at qc=3 the estimate (1.00936) reads clean below the threshold
+    # (1.01101) while the propagator grows past it (SVD 1.01164)
+    if qubits == 3 and mode == "nonhermitian":
+        assert estimate < threshold and flagged
+
+
 def _symmetric_cases():
     rng = np.random.default_rng(11)
     cases = [np.zeros((5, 5))]
