@@ -14,7 +14,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import DiscriminantNotClosed, NegativeRadicand
-from .hermite import hermite_he
+from .hermite import normalized_he
 
 Z_CLAMP = 1e12
 
@@ -24,18 +24,16 @@ VARIANTS = ("inflate_c0", "inflate_a")
 def epsilon_N_detail(N, grid_points=10000):
     """(value, argmax) of the defect sup over a uniform grid on [-1, 1].
 
-    The defect is |2^(-N/2) (N!)^(-1/2) He_{N+1}(f) / 2| with the sup
-    taken over the encodable values, endpoints included.
+    The defect is sqrt(N+1) |h_{N+1}(f)| / 2^(N/2+1), with
+    h_n = He_n / sqrt(n!) the normalized Hermite sequence of the value
+    encoding and the sup taken over the encodable values, endpoints
+    included.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     grid = np.linspace(-1.0, 1.0, grid_points)
-    fact = 1.0
-    for k in range(2, N + 1):
-        fact *= k
-    vals = np.abs(hermite_he(N + 1, grid)[-1]) / (
-        2.0 ** (N / 2.0) * sqrt(fact) * 2.0
-    )
+    h = normalized_he(N + 1, grid)[-1]
+    vals = sqrt(N + 1) * np.abs(h) * 2.0 ** -(N / 2.0 + 1.0)
     k = int(np.argmax(vals))
     return float(vals[k]), float(grid[k])
 

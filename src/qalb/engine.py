@@ -64,7 +64,7 @@ class CollisionSetup:
     """A lattice model bound to per-mode registers and a relaxation clock.
 
     modes counts the encoded populations (one bosonic mode each);
-    propagators and certificates are memoized on the instance.
+    each mode's propagator and certificate are memoized on the instance.
     """
 
     model: object
@@ -170,13 +170,25 @@ def generator(setup, mode):
     return G if mode == "nonhermitian" else 0.5 * (G - G.T)
 
 
-def propagator(setup, mode):
-    """One-step propagator expm(dt G) = expm(-i dt H), a real matrix."""
-    key = ("U", mode)
+def _build(setup, mode):
+    """(U, sigma) of one collision mode from a single build of A = dt G:
+    sigma = e^mu with mu a certified upper bound on the largest eigenvalue
+    of S = (A + A^T)/2, then U = expm(A).  Memoized on the setup."""
+    key = ("build", mode)
     if key not in setup._cache:
         with one_blas_thread():
-            setup._cache[key] = expm(setup.dt * generator(setup, mode))
+            A = setup.dt * generator(setup, mode)
+            S = np.add(A, A.T)
+            S *= 0.5
+            sigma = exp(_lambda_max_bound(S))
+            del S
+            setup._cache[key] = (expm(A), sigma)
     return setup._cache[key]
+
+
+def propagator(setup, mode):
+    """One-step propagator expm(dt G) = expm(-i dt H), a real matrix."""
+    return _build(setup, mode)[0]
 
 
 def certificate(setup, mode):
@@ -192,18 +204,10 @@ def certificate(setup, mode):
     hermitized mode A is exactly antisymmetric, so S is 0 and sigma is
     exactly 1.  Returns (sigma, growth_bound, flagged).
     """
-    key = ("cert", mode)
-    if key not in setup._cache:
-        A = setup.dt * generator(setup, mode)
-        S = np.add(A, A.T)
-        del A
-        S *= 0.5
-        with one_blas_thread():
-            sigma = exp(_lambda_max_bound(S))
-        model = setup.model
-        bound = dissipation_factor(1.0, setup.dt, setup.tau, model.Q, model.D)
-        setup._cache[key] = (sigma, bound, sigma > bound * CERTIFICATE_MARGIN)
-    return setup._cache[key]
+    sigma = _build(setup, mode)[1]
+    model = setup.model
+    bound = dissipation_factor(1.0, setup.dt, setup.tau, model.Q, model.D)
+    return sigma, bound, sigma > bound * CERTIFICATE_MARGIN
 
 
 def _lambda_max_bound(S):

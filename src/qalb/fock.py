@@ -19,7 +19,7 @@ from .errors import (
     OutOfRange,
     TooLarge,
 )
-from .hermite import hermite_h
+from .hermite import normalized_he
 
 _MAX_QUBITS_DENSE = 12
 
@@ -93,20 +93,14 @@ def commutator(A, B):
 def encode_value(f, cfg):
     """Normalized truncated position eigenstate carrying the value f.
 
-    Amplitudes are proportional to 2^(-n/2) H_n(f) / sqrt(n!); the state
+    Amplitudes are proportional to h_n(sqrt(2) f) = He_n(sqrt(2) f) /
+    sqrt(n!), which stay finite at every register size; the state
     satisfies q psi = f psi on all rows except the last, and the amplitude
-    ratio psi_1/psi_0 equals sqrt(2) f exactly.
+    ratio psi_1/psi_0 equals sqrt(2) f to within one rounding.
     """
     if not -1.0 <= f <= 1.0:
         raise OutOfRange(f"encoded value must lie in [-1, 1], got {f}")
-    N = cfg.N
-    H = hermite_h(N, float(f))
-    amp = np.empty(N + 1)
-    fact = 1.0
-    for n in range(N + 1):
-        if n > 0:
-            fact *= n
-        amp[n] = H[n] / sqrt(fact) / 2.0 ** (n / 2.0)
+    amp = normalized_he(cfg.N, sqrt(2.0) * float(f))
     return amp / np.linalg.norm(amp)
 
 
@@ -160,8 +154,8 @@ def q_eigensystem(cfg, tol=1e-13, max_iter=200):
     """All eigenpairs of the truncated q, without dense factorizations.
 
     Eigenvalues come from Sturm bisection on [-sqrt(2N), sqrt(2N)];
-    eigenvectors from the three-term recurrence
-    v_{n+1} = (sqrt(2) lam v_n - sqrt(n) v_{n-1}) / sqrt(n+1), v_0 = 1.
+    the eigenvector of lam has components h_n(sqrt(2) lam), the same
+    normalized Hermite sequence as the value encoding.
     """
     N = cfg.N
     bound = sqrt(2.0 * N) if N > 0 else 1.0
@@ -183,16 +177,5 @@ def q_eigensystem(cfg, tol=1e-13, max_iter=200):
         eigvals[k] = 0.5 * (lo + hi)
     if np.any(np.diff(eigvals) <= 0.0):
         raise ConvergenceFailure("expected distinct ordered eigenvalues")
-    vecs = np.empty((N + 1, N + 1))
-    for k in range(N + 1):
-        lam = eigvals[k]
-        v = np.empty(N + 1)
-        v[0] = 1.0
-        if N >= 1:
-            v[1] = sqrt(2.0) * lam
-        for n in range(1, N):
-            v[n + 1] = (sqrt(2.0) * lam * v[n] - sqrt(n) * v[n - 1]) / sqrt(
-                n + 1
-            )
-        vecs[:, k] = v / np.linalg.norm(v)
-    return eigvals, vecs
+    vecs = normalized_he(N, sqrt(2.0) * eigvals)
+    return eigvals, vecs / np.linalg.norm(vecs, axis=0)

@@ -5,11 +5,13 @@ window; they come from high-precision moment quadrature and Gram-Schmidt
 on monomials, and they satisfy a family of Laguerre-Freud relations that
 the tests pin down.  As z grows the window stops mattering and
 gamma_n -> n/2, the full-line Hermite value.  The same monic recurrence
-with gamma_n = n/2 or gamma_n = n gives the package its physicists' and
-probabilists' Hermite polynomials.
+with gamma_n = n/2 gives the physicists' Hermite polynomials; the
+normalized probabilists' sequence He_n / sqrt(n!) that encodes register
+values has its own recurrence, which never forms n!.
 """
 
 from dataclasses import dataclass
+from math import sqrt
 
 import mpmath
 import numpy as np
@@ -140,9 +142,22 @@ def monic_sequence(gams, n, x):
     return out
 
 
-def hermite_he(n, x):
-    """Probabilists' He_0..He_n at x: the monic family with gamma_k = k."""
-    return monic_sequence(np.arange(1.0, n + 1), n, x)
+def normalized_he(n, x):
+    """h_0..h_n at x, h_k = He_k / sqrt(k!) with He_k the probabilists'
+    Hermite polynomial, stacked on a new leading axis.
+
+    From h_{k+1} = (x h_k - sqrt(k) h_{k-1}) / sqrt(k + 1): dividing at
+    every step keeps the values O(1) on the encodable range, where He_k
+    and k! alone overflow past k = 170.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty((n + 1,) + x.shape)
+    out[0] = 1.0
+    if n >= 1:
+        out[1] = x
+    for k in range(1, n):
+        out[k + 1] = (x * out[k] - sqrt(k) * out[k - 1]) / sqrt(k + 1)
+    return out
 
 
 def hermite_h(n, x):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,6 +19,23 @@ def test_epsilon_frozen_values():
     assert abs(abs(arg) - 1.0) < 1e-3
     _, arg3 = bounds.epsilon_N_detail(3)
     assert abs(arg3) < 1e-3
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 20, 170, 171, 300])
+def test_epsilon_matches_high_precision(N):
+    # sqrt(N+1) |He_{N+1}(x)| / (sqrt((N+1)!) 2^(N/2+1)) at 50 digits, at
+    # the argmax the float evaluation returns; past N = 170 (N+1)! is out
+    # of float range, so a float formula built on it reads 0 or NaN
+    val, arg = bounds.epsilon_N_detail(N)
+    n = N + 1
+    with mpmath.workdps(50):
+        x = mpmath.mpf(arg)
+        he = mpmath.hermite(n, x / mpmath.sqrt(2)) / mpmath.sqrt(2) ** n
+        ref = mpmath.sqrt(n) * abs(he) / (
+            mpmath.sqrt(mpmath.factorial(n)) * mpmath.power(2, N / 2 + 1)
+        )
+    assert val > 0.0
+    assert abs(val - float(ref)) <= 1e-12 * float(ref)
 
 
 def test_epsilon_decays_with_level():

@@ -160,6 +160,20 @@ def test_bounds_run(tmp_path):
     assert abs(eps0) < 1e-15
 
 
+def test_bounds_table_past_level_170(tmp_path, capsys):
+    # (N+1)! leaves float range at N = 170; the table and the bound it
+    # feeds must still see a positive defect there
+    out = tmp_path / "b.csv"
+    argv = ["bounds", "--set", "N=171", "--set", "nmax=172", "--out", str(out)]
+    assert cli.main(argv) == 0
+    rows = dict(
+        line.strip().split(": ")
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith("  N=")
+    )
+    assert float(rows["N=171"]) > 0.0 and float(rows["N=172"]) > 0.0
+
+
 def test_streaming_demo(tmp_path, capsys):
     out = tmp_path / "s.txt"
     code = cli.main(["streaming-demo", "--out", str(out)])

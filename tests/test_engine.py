@@ -256,6 +256,24 @@ def test_lambda_max_bound_grows_delta_when_cholesky_fails(monkeypatch):
     assert cap <= capped <= cap + 1e-12 * np.abs(S).sum(axis=1).max()
 
 
+def test_generator_built_once_per_mode(monkeypatch):
+    # the propagator and the certificate of a mode share one build of dt G
+    calls = []
+    real = engine.generator
+
+    def counting(setup, mode):
+        calls.append(mode)
+        return real(setup, mode)
+
+    monkeypatch.setattr(engine, "generator", counting)
+    s = _setup(2)
+    for mode in engine.MODES:
+        engine.propagator(s, mode)
+        engine.certificate(s, mode)
+        engine.evolve_quantum_0d(s, F0, 3, mode=mode)
+    assert sorted(calls) == sorted(engine.MODES)
+
+
 def test_evolution_guards():
     s = _setup(2)
     with pytest.raises(ValueError):

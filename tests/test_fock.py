@@ -97,8 +97,28 @@ def test_decode_guard():
         fock.decode_value(np.array([0.0, 1.0]))
 
 
+@pytest.mark.parametrize("qubits", [8, 9, 10, 12])
+def test_encode_value_on_large_registers(qubits):
+    # past level 170, He_n and n! overflow on their own; the normalized
+    # sequence does not, so the state stays a truncated eigenstate of q
+    cfg = fock.FockConfig(qubits)
+    n = np.arange(1, cfg.levels)
+    for f in (-1.0, -0.3, 0.0, 0.6, 1.0):
+        psi = fock.encode_value(f, cfg)
+        assert np.all(np.isfinite(psi))
+        assert abs(np.linalg.norm(psi) - 1.0) < 1e-14
+        # q is tridiagonal: (q psi)_k = (sqrt(k) psi_{k-1}
+        # + sqrt(k+1) psi_{k+1}) / sqrt(2); the top row holds the defect
+        q_psi = np.zeros(cfg.levels)
+        q_psi[:-1] += np.sqrt(n) * psi[1:]
+        q_psi[1:] += np.sqrt(n) * psi[:-1]
+        q_psi /= np.sqrt(2.0)
+        assert np.max(np.abs((q_psi - f * psi)[:-1])) <= 1e-12
+        assert abs(psi[1] / psi[0] - np.sqrt(2.0) * f) <= 1e-13
+
+
 def test_q_eigensystem_matches_dense():
-    for qubits in (1, 2, 3):
+    for qubits in (1, 2, 3, 4, 5):
         cfg = fock.FockConfig(qubits)
         q, _ = fock.position_momentum(cfg)
         vals, vecs = fock.q_eigensystem(cfg)

@@ -1,5 +1,7 @@
 """Window-orthogonal polynomial coefficients and their structure identities."""
 
+from math import factorial, sqrt
+
 import mpmath
 import numpy as np
 import pytest
@@ -52,19 +54,20 @@ def test_window_moments():
 
 
 def test_recurrence_matches_numpy_hermite_families():
-    # gamma_k = k/2 scaled by 2^k gives the physicists' H_n, gamma_k = k
-    # the probabilists' He_n; numpy evaluates both from their own series
+    # gamma_k = k/2 scaled by 2^k gives the physicists' H_n; the normalized
+    # recurrence gives the probabilists' He_n / sqrt(n!); numpy evaluates
+    # both from their own series
     x = np.array([-2.7, -1.0, -0.31, 0.0, 0.5, 1.3, 3.0])
     H = hermite.hermite_h(12, x)
-    He = hermite.hermite_he(12, x)
-    assert H.shape == He.shape == (13, 7)
+    h = hermite.normalized_he(12, x)
+    assert H.shape == h.shape == (13, 7)
     for n in range(13):
         coef = np.zeros(n + 1)
         coef[n] = 1.0
         ref = np.polynomial.hermite.hermval(x, coef)
         assert np.max(np.abs(H[n] - ref)) <= 1e-13 * np.max(np.abs(ref))
-        ref_e = np.polynomial.hermite_e.hermeval(x, coef)
-        assert np.max(np.abs(He[n] - ref_e)) <= 1e-13 * np.max(np.abs(ref_e))
+        ref_e = np.polynomial.hermite_e.hermeval(x, coef) / sqrt(factorial(n))
+        assert np.max(np.abs(h[n] - ref_e)) <= 1e-13 * np.max(np.abs(ref_e))
     # a scalar argument gives one column
     assert np.array_equal(hermite.hermite_h(12, x[2]), H[:, 2])
 
