@@ -21,25 +21,39 @@ Z_CLAMP = 1e12
 VARIANTS = ("inflate_c0", "inflate_a")
 
 
-def epsilon_N_detail(N, grid_points=10000):
-    """(value, argmax) of the defect sup over a uniform grid on [-1, 1].
+# The encodable values [-1, 1], endpoints included, on which the defect
+# sup is taken.
+_GRID = np.linspace(-1.0, 1.0, 10000)
 
-    The defect is sqrt(N+1) |h_{N+1}(f)| / 2^(N/2+1), with
+
+def epsilon_table(nmax):
+    """(values, argmaxes) of the defect sup over a uniform grid on [-1, 1]
+    for N = 1..nmax, from one pass of the recurrence.
+
+    The defect of level N is sqrt(N+1) |h_{N+1}(f)| / 2^(N/2+1), with
     h_n = He_n / sqrt(n!) the normalized Hermite sequence of the value
-    encoding and the sup taken over the encodable values, endpoints
-    included.
+    encoding.
     """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    grid = np.linspace(-1.0, 1.0, grid_points)
-    h = normalized_he(N + 1, grid)[-1]
-    vals = sqrt(N + 1) * np.abs(h) * 2.0 ** -(N / 2.0 + 1.0)
-    k = int(np.argmax(vals))
-    return float(vals[k]), float(grid[k])
+    if nmax < 1:
+        raise ValueError(f"N must be >= 1, got {nmax}")
+    N = np.arange(1, nmax + 1)
+    vals = normalized_he(nmax + 1, _GRID)[2:]
+    np.abs(vals, out=vals)
+    vals *= np.sqrt(N + 1.0)[:, None]
+    scale = [2.0 ** -(n / 2.0 + 1.0) for n in range(1, nmax + 1)]
+    vals *= np.array(scale)[:, None]
+    k = np.argmax(vals, axis=1)
+    return vals[N - 1, k], _GRID[k]
 
 
-def epsilon_N(N, grid_points=10000):
-    return epsilon_N_detail(N, grid_points)[0]
+def epsilon_N_detail(N):
+    """(value, argmax) of the level-N defect sup; see epsilon_table."""
+    vals, args = epsilon_table(N)
+    return float(vals[-1]), float(args[-1])
+
+
+def epsilon_N(N):
+    return epsilon_N_detail(N)[0]
 
 
 def polynomial_coefficients(Q):

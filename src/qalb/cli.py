@@ -472,10 +472,11 @@ def cmd_complexity(config):
 
 def cmd_bounds(config):
     tau, dt, steps = config["tau"], config["dt"], config["steps"]
-    eps = bounds.epsilon_N(config["N"])
+    table, _ = bounds.epsilon_table(max(config["N"], config["nmax"]))
+    eps = float(table[config["N"] - 1])
     print(f"eps_N table (defect sup over [-1, 1]):")
     for n in range(1, config["nmax"] + 1):
-        print(f"  N={n}: {bounds.epsilon_N(n):.6g}")
+        print(f"  N={n}: {table[n - 1]:.6g}")
     per = {}
     for variant in bounds.VARIANTS:
         C0, C1 = bounds.bound_coefficients(config["Q"], variant)

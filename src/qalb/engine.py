@@ -22,7 +22,7 @@ import numpy as np
 
 from . import classical, fock
 from .errors import OutOfRange, TooLarge
-from .linalg import expm, one_blas_thread
+from .linalg import expm
 
 CERTIFICATE_MARGIN = 1.01
 
@@ -176,13 +176,12 @@ def _build(setup, mode):
     of S = (A + A^T)/2, then U = expm(A).  Memoized on the setup."""
     key = ("build", mode)
     if key not in setup._cache:
-        with one_blas_thread():
-            A = setup.dt * generator(setup, mode)
-            S = np.add(A, A.T)
-            S *= 0.5
-            sigma = exp(_lambda_max_bound(S))
-            del S
-            setup._cache[key] = (expm(A), sigma)
+        A = setup.dt * generator(setup, mode)
+        S = np.add(A, A.T)
+        S *= 0.5
+        sigma = exp(_lambda_max_bound(S))
+        del S
+        setup._cache[key] = (expm(A), sigma)
     return setup._cache[key]
 
 

@@ -16,6 +16,7 @@ from .errors import (
     ConvergenceFailure,
     DimMismatch,
     GroundAmplitudeZero,
+    NonFinite,
     OutOfRange,
     TooLarge,
 )
@@ -129,53 +130,59 @@ def zero_vectors(cfg):
 
 
 def _count_below(x, N):
-    """Eigenvalues of q strictly below x, by Sturm negative count.
+    """Eigenvalues of q strictly below each entry of x, by Sturm negative
+    count.
 
     A pivot that lands exactly on zero is perturbed to a tiny negative
     value before it is counted, so boundary hits (the first midpoint of
     the symmetric bracket is exactly zero) do not undercount.
     """
-    count = 0
+    count = np.zeros(x.shape, dtype=int)
     d = -x
-    if d == 0.0:
-        d = -1e-30
-    if d < 0.0:
-        count += 1
-    for n in range(1, N + 1):
-        d = -x - (n / 2.0) / d
-        if d == 0.0:
-            d = -1e-30
-        if d < 0.0:
-            count += 1
+    for n in range(N + 1):
+        if n:
+            d = -x - (n / 2.0) / d
+        d[d == 0.0] = -1e-30
+        count += d < 0.0
     return count
 
 
 def q_eigensystem(cfg, tol=1e-13, max_iter=200):
     """All eigenpairs of the truncated q, without dense factorizations.
 
-    Eigenvalues come from Sturm bisection on [-sqrt(2N), sqrt(2N)];
-    the eigenvector of lam has components h_n(sqrt(2) lam), the same
-    normalized Hermite sequence as the value encoding.
+    Eigenvalues come from Sturm bisection on [-sqrt(2N), sqrt(2N)], all
+    at once; the eigenvector of lam has components h_n(sqrt(2) lam), the
+    same normalized Hermite sequence as the value encoding.  Past 9 qubits
+    h_n itself overflows at the outer eigenvalues, and NonFinite is raised.
     """
     N = cfg.N
     bound = sqrt(2.0 * N) if N > 0 else 1.0
-    eigvals = np.empty(N + 1)
-    for k in range(N + 1):
-        lo, hi = -bound, bound
-        it = 0
-        while hi - lo > tol and it < max_iter:
-            mid = 0.5 * (lo + hi)
-            if _count_below(mid, N) <= k:
-                lo = mid
-            else:
-                hi = mid
-            it += 1
-        if it >= max_iter and hi - lo > tol:
-            raise ConvergenceFailure(
-                f"bisection for eigenvalue {k} stalled at width {hi - lo}"
-            )
-        eigvals[k] = 0.5 * (lo + hi)
+    lo = np.full(N + 1, -bound)
+    hi = np.full(N + 1, bound)
+    for _ in range(max_iter):
+        k = np.flatnonzero(hi - lo > tol)
+        if k.size == 0:
+            break
+        mid = 0.5 * (lo[k] + hi[k])
+        below = _count_below(mid, N) <= k
+        lo[k[below]] = mid[below]
+        hi[k[~below]] = mid[~below]
+    stalled = np.flatnonzero(hi - lo > tol)
+    if stalled.size:
+        j = stalled[0]
+        raise ConvergenceFailure(
+            f"bisection for eigenvalue {j} stalled at width {hi[j] - lo[j]}"
+        )
+    eigvals = 0.5 * (lo + hi)
     if np.any(np.diff(eigvals) <= 0.0):
         raise ConvergenceFailure("expected distinct ordered eigenvalues")
-    vecs = normalized_he(N, sqrt(2.0) * eigvals)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vecs = normalized_he(N, sqrt(2.0) * eigvals)
+    if not np.all(np.isfinite(vecs)):
+        raise NonFinite(
+            f"eigenvectors of q overflow float64 on {cfg.qubits} qubits"
+        )
+    # h_n reaches 1.6e214 at 9 qubits, so its square overflows; scaling
+    # each column to unit max keeps the sum of squares finite
+    vecs /= np.max(np.abs(vecs), axis=0)
     return eigvals, vecs / np.linalg.norm(vecs, axis=0)

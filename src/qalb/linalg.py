@@ -8,12 +8,6 @@ a library version; accuracy is checked in tests against scipy and via
 exp(A) exp(-A) = I.
 """
 
-import ctypes
-import glob
-import os
-from contextlib import contextmanager
-from functools import cache
-
 import numpy as np
 
 from .errors import DimMismatch, NonFinite, TooLarge
@@ -51,42 +45,6 @@ _POWERS = {3: 1, 5: 2, 7: 3, 9: 2, 13: 3}
 
 # Rows per block of a band-limited product.
 _ROWS = 256
-
-
-@contextmanager
-def one_blas_thread():
-    """Run the enclosed BLAS calls on one thread, then restore the count.
-
-    OpenBLAS splits a product evenly over its threads and waits for the
-    slowest, so on a small shared host a busy neighbour on one CPU stalls
-    the whole product.  One thread is slower on an idle host (a qc=4
-    propagator takes about 25 s instead of 15 s on 2 CPUs) but its time
-    moves far less when the other CPU is busy.  Results agree with the
-    threaded ones to round-off.  The count is process-wide; this is a no-op
-    when numpy does not bundle OpenBLAS.
-    """
-    lib = _numpy_openblas()
-    if lib is None:
-        yield
-        return
-    before = lib.scipy_openblas_get_num_threads64_()
-    lib.scipy_openblas_set_num_threads64_(1)
-    try:
-        yield
-    finally:
-        lib.scipy_openblas_set_num_threads64_(before)
-
-
-@cache
-def _numpy_openblas():
-    """The scipy-openblas64 library that numpy wheels bundle, or None."""
-    root = os.path.dirname(np.__file__)
-    for pattern in ("../numpy.libs/*openblas64*", ".dylibs/*openblas64*"):
-        for path in glob.glob(os.path.join(root, pattern)):
-            lib = ctypes.CDLL(path)
-            if hasattr(lib, "scipy_openblas_set_num_threads64_"):
-                return lib
-    return None
 
 
 def expm(A):

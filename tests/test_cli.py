@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qalb
-from qalb import cli
+from qalb import bounds, cli
 
 
 def _read(path):
@@ -160,18 +160,29 @@ def test_bounds_run(tmp_path):
     assert abs(eps0) < 1e-15
 
 
+def _eps_rows(capsys):
+    return dict(
+        line.strip().split(": ")
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith("  N=")
+    )
+
+
 def test_bounds_table_past_level_170(tmp_path, capsys):
     # (N+1)! leaves float range at N = 170; the table and the bound it
     # feeds must still see a positive defect there
     out = tmp_path / "b.csv"
     argv = ["bounds", "--set", "N=171", "--set", "nmax=172", "--out", str(out)]
     assert cli.main(argv) == 0
-    rows = dict(
-        line.strip().split(": ")
-        for line in capsys.readouterr().out.splitlines()
-        if line.startswith("  N=")
-    )
+    rows = _eps_rows(capsys)
     assert float(rows["N=171"]) > 0.0 and float(rows["N=172"]) > 0.0
+    # the one-pass table agrees with the per-level defect, past 170 too
+    argv = ["bounds", "--set", "nmax=400", "--out", str(out)]
+    assert cli.main(argv) == 0
+    rows = _eps_rows(capsys)
+    assert len(rows) == 400
+    for n in (1, 2, 171, 400):
+        assert rows[f"N={n}"] == f"{bounds.epsilon_N(n):.6g}"
 
 
 def test_streaming_demo(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Truncated oscillator algebra and value encoding."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from qalb.errors import (
     ConvergenceFailure,
     DimMismatch,
     GroundAmplitudeZero,
+    NonFinite,
     OutOfRange,
     TooLarge,
 )
@@ -118,13 +121,16 @@ def test_encode_value_on_large_registers(qubits):
 
 
 def test_q_eigensystem_matches_dense():
-    for qubits in (1, 2, 3, 4, 5):
+    # at 9 qubits h_n reaches 1e214 and its square overflows float64
+    for qubits in (1, 2, 3, 4, 5, 9):
         cfg = fock.FockConfig(qubits)
         q, _ = fock.position_momentum(cfg)
         vals, vecs = fock.q_eigensystem(cfg)
         ref = np.linalg.eigvalsh(q.real)
         assert np.max(np.abs(vals - ref)) < 1e-10
         assert np.max(np.abs(vals + vals[::-1])) < 1e-10  # symmetric spectrum
+        assert np.all(np.isfinite(vecs))
+        assert np.max(np.abs(np.linalg.norm(vecs, axis=0) - 1.0)) < 1e-14
         for k in range(cfg.levels):
             r = q.real @ vecs[:, k] - vals[k] * vecs[:, k]
             assert np.max(np.abs(r)) < 1e-9
@@ -133,3 +139,11 @@ def test_q_eigensystem_matches_dense():
 def test_q_eigensystem_stall():
     with pytest.raises(ConvergenceFailure):
         fock.q_eigensystem(fock.FockConfig(3), tol=1e-30, max_iter=5)
+
+
+def test_q_eigensystem_overflow_fails_closed():
+    # at 10 qubits h_n itself overflows at the outer eigenvalues
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="10 qubits"):
+            fock.q_eigensystem(fock.FockConfig(10))

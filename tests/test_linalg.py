@@ -147,15 +147,3 @@ def test_expm_guards():
     with pytest.raises(NonFinite):
         linalg.expm(bad)
 
-
-def test_one_blas_thread_restores_count():
-    lib = linalg._numpy_openblas()
-    if lib is None:
-        pytest.skip("numpy does not bundle OpenBLAS")
-    count = lib.scipy_openblas_get_num_threads64_
-    before = count()
-    with pytest.raises(RuntimeError):
-        with linalg.one_blas_thread():
-            assert count() == 1
-            raise RuntimeError("leave the block early")
-    assert count() == before
