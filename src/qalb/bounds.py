@@ -13,7 +13,7 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import DiscriminantNotClosed, NegativeRadicand
+from .errors import DiscriminantNotClosed, NegativeRadicand, TooLarge
 from .hermite import normalized_he
 
 Z_CLAMP = 1e12
@@ -24,6 +24,11 @@ VARIANTS = ("inflate_c0", "inflate_a")
 # The encodable values [-1, 1], endpoints included, on which the defect
 # sup is taken.
 _GRID = np.linspace(-1.0, 1.0, 10000)
+
+# The last level whose defect sup is a normal float: it falls below
+# np.finfo(float).tiny at N = 2048 and reads exactly 0.0 from N = 2148,
+# where a bound would proceed as if the truncation dropped nothing.
+_MAX_N = 2047
 
 
 def epsilon_table(nmax):
@@ -36,6 +41,10 @@ def epsilon_table(nmax):
     """
     if nmax < 1:
         raise ValueError(f"N must be >= 1, got {nmax}")
+    if nmax > _MAX_N:
+        raise TooLarge(
+            f"N {nmax} exceeds {_MAX_N}, past which eps_N underflows"
+        )
     N = np.arange(1, nmax + 1)
     vals = normalized_he(nmax + 1, _GRID)[2:]
     np.abs(vals, out=vals)

@@ -37,7 +37,7 @@ def model_for_dim(D):
 def check_tau(tau, dt):
     """TauTooSmall unless tau > dt/2, which keeps the relaxation factor
     1 - dt/tau inside (-1, 1)."""
-    if tau <= dt / 2.0:
+    if not tau > dt / 2.0:
         raise TauTooSmall(f"tau must exceed dt/2 = {dt / 2.0}, got {tau}")
 
 

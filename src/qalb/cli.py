@@ -56,8 +56,8 @@ def parse_config_text(text, source):
 
 def _positive_float(s):
     v = float(s)
-    if v <= 0.0:
-        raise ValueError(f"must be positive, got {v}")
+    if not 0.0 < v < np.inf:
+        raise ValueError(f"must be positive and finite, got {v}")
     return v
 
 
@@ -198,6 +198,8 @@ def resolve_f0(choice, model):
         raise ConfigError(
             f"f0 needs {model.Q} entries for {model.name}, got {vals.size}"
         )
+    if not np.all(np.isfinite(vals)):
+        raise ConfigError(f"f0 entries must be finite, got {choice!r}")
     return vals
 
 
@@ -294,24 +296,17 @@ def cmd_quantum(config):
             )
             runs.append((qc, method, res))
     header = ["t"] + [f"ref_f{i}" for i in range(model.Q)]
-    for qc, method, _ in runs:
+    columns = [runs[0][2].times, runs[0][2].classical]
+    for qc, method, res in runs:
         tag = f"{method}_qc{qc}"
         header += [f"{tag}_f{i}" for i in range(model.Q)]
         header += [f"{tag}_relerr", f"{tag}_flag"]
-    reference = runs[0][2].classical
-    rows = []
-    for k in range(steps + 1):
-        row = [k * dt, *reference[k]]
-        for _, _, res in runs:
-            tripped = (
-                res.flagged
-                and res.flag_step is not None
-                and k >= res.flag_step
-            )
-            row += [*res.decoded[k], res.rel_err[k], 1 if tripped else 0]
-        rows.append(row)
-    write_csv(config["out"], header, rows)
-    flagged = False
+        flag = np.zeros(steps + 1)
+        if res.flagged:
+            flag[res.flag_step:] = 1.0
+        columns += [res.decoded, res.rel_err, flag]
+    table = np.column_stack(columns)
+    write_csv(config["out"], header, table)
     for qc, method, res in runs:
         note = f"flagged at step {res.flag_step}: {res.flag_reason}" if (
             res.flagged
@@ -320,9 +315,8 @@ def cmd_quantum(config):
             f"quantum {method} qc={qc}: final relative error "
             f"{res.rel_err[-1]:.6g}, {note}"
         )
-        flagged = flagged or res.flagged
-    print(f"quantum: wrote {len(rows)} rows to {config['out']}")
-    return 4 if flagged else 0
+    print(f"quantum: wrote {len(table)} rows to {config['out']}")
+    return 4 if any(res.flagged for _, _, res in runs) else 0
 
 
 def cmd_carleman(config):

@@ -41,8 +41,8 @@ def phase_space_divergence(model, tau):
 
 
 def dissipation_factor(T, dt, tau, Q, D):
-    """Norm compensation e^{T dt (Q - D) / (2 tau)} after T steps."""
-    return exp(T * dt * (Q - D) / (2.0 * tau))
+    """Norm compensation e^{T dt (Q - D) / (2 tau)} after T (array) steps."""
+    return np.exp(T * dt * (Q - D) / (2.0 * tau))
 
 
 def relative_error(quantum, reference):
@@ -204,8 +204,8 @@ def certificate(setup, mode):
     exactly 1.  Returns (sigma, growth_bound, flagged).
     """
     sigma = _build(setup, mode)[1]
-    model = setup.model
-    bound = dissipation_factor(1.0, setup.dt, setup.tau, model.Q, model.D)
+    Q, D = setup.model.Q, setup.model.D
+    bound = float(dissipation_factor(1.0, setup.dt, setup.tau, Q, D))
     return sigma, bound, sigma > bound * CERTIFICATE_MARGIN
 
 
@@ -294,16 +294,26 @@ def initial_state(setup, f0, init="exact"):
     return psi
 
 
+def _readout_index(setup):
+    """Flat indices of the ground amplitude, then of each mode's level 1."""
+    Q = setup.model.Q
+    return np.concatenate(([0], setup.cfg.levels ** np.arange(Q - 1, -1, -1)))
+
+
+def _ratio_decode(amps):
+    """Amplitude ratios against the ground amplitude (first on the last axis)
+    over sqrt(2), NaN where the ground amplitude is exactly zero."""
+    ground = amps[..., :1]
+    vals = np.full(amps[..., 1:].shape, np.nan)
+    np.divide(amps[..., 1:], ground, out=vals, where=ground != 0.0)
+    return vals / sqrt(2.0)
+
+
 def decode_state(setup, psi):
     """Per-mode value readout from the amplitude ratio against the joint
     ground amplitude.  Returns (values, ok): when the ground amplitude is
     exactly zero the values are NaN and ok is False."""
-    Q = setup.model.Q
-    dim = setup.cfg.levels
-    if psi[0] == 0.0:
-        return np.full(Q, np.nan), False
-    strides = dim ** np.arange(Q - 1, -1, -1)
-    return psi[strides] / psi[0] / sqrt(2.0), True
+    return _ratio_decode(psi[_readout_index(setup)]), bool(psi[0] != 0.0)
 
 
 def collision_increments(setup, psi):
@@ -338,8 +348,13 @@ class EvolutionResult:
     flag_reason: Optional[str]
 
 
+def _records(psi, index):
+    """Readout amplitudes, norm and finiteness: what the march keeps."""
+    return psi[index], np.linalg.norm(psi), np.all(np.isfinite(psi))
+
+
 def evolve_quantum_0d(setup, f0, steps, mode="nonhermitian", init="exact"):
-    """March the encoded register and decode after every step.
+    """March the encoded register, then decode and check every step.
 
     Preconditions: the populations sum to one and each lies in [-1, 1].
     Divergence never raises; the result carries the first flagged step and
@@ -365,43 +380,36 @@ def evolve_quantum_0d(setup, f0, steps, mode="nonhermitian", init="exact"):
     U = propagator(setup, mode)
     _, bound, cert_flagged = certificate(setup, mode)
     psi = initial_state(setup, f0, init=init)
-    flagged = cert_flagged
-    flag_step = 0 if flagged else None
-    flag_reason = "operator-norm certificate" if flagged else None
-    decoded = np.full((steps + 1, Q), np.nan)
+    index = _readout_index(setup)
+    amps = np.empty((steps + 1, index.size))
     norms = np.empty(steps + 1)
-    norms_corr = np.empty(steps + 1)
-    decoded[0], _ = decode_state(setup, psi)
-    norms[0] = np.linalg.norm(psi)
-    norms_corr[0] = norms[0]
-    ratio_bound = bound * CERTIFICATE_MARGIN
+    finite = np.empty(steps + 1, dtype=bool)
+    amps[0], norms[0], finite[0] = _records(psi, index)
     for t in range(1, steps + 1):
         psi = U @ psi
-        n = float(np.linalg.norm(psi))
-        factor = (
-            dissipation_factor(t, dt, tau, Q, D)
-            if mode == "hermitized"
-            else 1.0
+        amps[t], norms[t], finite[t] = _records(psi, index)
+    decoded = _ratio_decode(amps)
+    before, after = norms[:-1], norms[1:]
+    ratio_bound = bound * CERTIFICATE_MARGIN
+    # checks of steps 1.. in priority order: first failing step, then entry
+    with np.errstate(divide="ignore", invalid="ignore"):
+        checks = (
+            ("non-finite state", ~finite[1:]),
+            ("vanished norm", (after == 0.0) | (before == 0.0)),
+            ("norm growth monitor", after / before > ratio_bound),
+            ("ground amplitude zero", amps[1:, 0] == 0.0),
+            ("decoded population outside [-1, 1]",
+             np.any(np.abs(decoded[1:]) > 1.0, axis=1)),
         )
-        norms[t] = n
-        norms_corr[t] = n * factor
-        reason = None
-        if not np.all(np.isfinite(psi)):
-            reason = "non-finite state"
-        elif n == 0.0 or norms[t - 1] == 0.0:
-            reason = "vanished norm"
-        elif n / norms[t - 1] > ratio_bound:
-            reason = "norm growth monitor"
-        vals, ok = decode_state(setup, psi)
-        if reason is None and not ok:
-            reason = "ground amplitude zero"
-        elif reason is None and np.any(np.abs(vals) > 1.0):
-            reason = "decoded population outside [-1, 1]"
-        if reason is not None and not flagged:
-            flagged = True
-            flag_step = t
-            flag_reason = reason
-        decoded[t] = vals
+    failed = np.array([mask for _, mask in checks])
+    flag_step, flag_reason = None, None
+    if failed.any():
+        t = int(np.argmax(failed.any(axis=0)))
+        flag_step, flag_reason = t + 1, checks[int(np.argmax(failed[:, t]))][0]
+    if cert_flagged:
+        flag_step, flag_reason = 0, "operator-norm certificate"
+    T = np.arange(steps + 1) if mode == "hermitized" else 0
+    norms_corr = norms * dissipation_factor(T, dt, tau, Q, D)
     cls = classical.evolve_0d(f0, tau, dt, steps)
     errs, _ = relative_error(decoded, cls)
     # fmax skips NaN entries, and an all-NaN row stays NaN without a warning
@@ -414,7 +422,7 @@ def evolve_quantum_0d(setup, f0, steps, mode="nonhermitian", init="exact"):
         classical=cls,
         rel_err=rel,
         mass=decoded.sum(axis=1),
-        flagged=flagged,
+        flagged=flag_step is not None,
         flag_step=flag_step,
         flag_reason=flag_reason,
     )

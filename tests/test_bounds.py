@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qalb import bounds
-from qalb.errors import DiscriminantNotClosed
+from qalb.errors import DiscriminantNotClosed, TooLarge
 
 
 def test_epsilon_frozen_values():
@@ -44,6 +44,21 @@ def test_epsilon_decays_with_level():
     assert vals[-1] < 0.1 * vals[0]
     with pytest.raises(ValueError):
         bounds.epsilon_N(0)
+
+
+def test_epsilon_table_stops_at_last_normal_level(monkeypatch):
+    # eps_N is a normal float through N = 2047 and underflows past it, so a
+    # longer table is refused before the recurrence allocates anything
+    vals, _ = bounds.epsilon_table(2047)
+    assert vals.shape == (2047,)
+    assert np.all(vals >= np.finfo(float).tiny)
+
+    def unreachable(*args):
+        raise AssertionError("the table was allocated")
+
+    monkeypatch.setattr(bounds, "normalized_he", unreachable)
+    with pytest.raises(TooLarge):
+        bounds.epsilon_table(2048)
 
 
 def test_polynomial_coefficients_and_discriminant():

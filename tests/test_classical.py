@@ -74,6 +74,8 @@ def test_collide_tau_guard():
     fld = classical.DistributionField(D1Q3, np.ones((4, 3)))
     with pytest.raises(TauTooSmall):
         classical.collide(fld, 0.05, 0.1)
+    with pytest.raises(TauTooSmall):
+        classical.collide(fld, float("nan"), 0.1)
 
 
 def test_collide_zero_density_guard():

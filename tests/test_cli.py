@@ -243,6 +243,15 @@ _BAD_RUNS = (
         ("streaming-demo", ["sites=6", "marker=1"], "x.txt", "config error:"),
         ("quantum", ["qc=2,2"], "x.csv", "config error:"),
         ("carleman", ["orders=2,2"], "x.csv", "config error:"),
+        # non-finite values are refused before anything is computed
+        ("classical", ["tau=nan"], "x.csv", "config error:"),
+        ("classical", ["f0=nan,0.5,0.5"], "x.csv", "config error:"),
+        ("carleman", ["f0=nan"], "x.csv", "config error:"),
+        ("bounds", ["dt=nan"], "x.csv", "config error:"),
+        ("quantum", ["tau=nan"], "x.csv", "config error:"),
+        ("quantum", ["dt=inf"], "x.csv", "config error:"),
+        # eps_N underflows past level 2047
+        ("bounds", ["N=2048"], "x.csv", "numeric guard:"),
     ]
     + [(cmd, ["bogus=1"], "x.csv", "config error:") for cmd in _COMMANDS]
     + [

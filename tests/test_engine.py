@@ -1,5 +1,7 @@
 """Encoded collision dynamics on per-population registers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -167,6 +169,8 @@ def test_certificate_values():
             if mode == "hermitized":
                 assert sigma == 1.0  # S is exactly zero
             assert flagged == (sigma > bound * engine.CERTIFICATE_MARGIN)
+            # plain Python types, as JSON records of the audit need
+            assert type(bound) is float and type(flagged) is bool
             # the qc=3 step grows past the threshold (SVD 1.0116420 against
             # 1.0110105); qc 1-2 stay below it
             assert flagged == (qubits == 3 and mode == "nonhermitian")
@@ -326,3 +330,60 @@ def test_relative_error_nan_sentinel():
     errs, zeros = engine.relative_error(np.array([1.0, 2.0]), np.array([0.0, 2.0]))
     assert np.isnan(errs[0]) and errs[1] == 0.0
     assert zeros == 1
+
+
+def _injected_setup(U):
+    # D1Q3 qc=1 (dim 8) marching a crafted propagator under a clean
+    # certificate, so every flag comes from the per-step checks
+    s = _setup(1)
+    s._cache[("build", "nonhermitian")] = (U, 1.0)
+    return s
+
+
+_GROUND_OFF = np.diag([0.0] + [1.0] * 7)
+
+_INJECTED = [
+    ("zero", np.zeros((8, 8)), "vanished norm"),
+    ("double", 2.0 * np.eye(8), "norm growth monitor"),
+    ("nan", np.full((8, 8), np.nan), "non-finite state"),
+    ("ground-off", _GROUND_OFF, "ground amplitude zero"),
+    # growth outranks the zero ground amplitude at the same step
+    ("ground-off-double", 2.0 * _GROUND_OFF, "norm growth monitor"),
+    # every entry stays finite while the norm overflows to inf
+    ("overflow", 1e200 * np.eye(8), "norm growth monitor"),
+]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "U,reason", [c[1:] for c in _INJECTED], ids=[c[0] for c in _INJECTED]
+)
+def test_injected_propagator_flags_first_step(U, reason):
+    res = engine.evolve_quantum_0d(_injected_setup(U), F0, 3)
+    assert res.flagged
+    assert (res.flag_step, res.flag_reason) == (1, reason)
+    assert res.decoded.shape == (4, 3) and res.norms.shape == (4,)
+    assert np.max(np.abs(res.decoded[0] - F0)) < 1e-13
+
+
+def test_zero_steps_is_unflagged():
+    res = engine.evolve_quantum_0d(_setup(1), F0, 0)
+    assert not res.flagged
+    assert res.flag_step is None and res.flag_reason is None
+    assert res.decoded.shape == (1, 3) and res.classical.shape == (1, 3)
+    assert res.norms.shape == res.norms_corrected.shape == (1,)
+
+
+def test_march_memory_stays_below_history():
+    # the march keeps per-step records, never the (steps + 1) x dim history,
+    # which alone would take 5001 * 512 * 8 bytes = 20 MB here
+    s = _setup(3)
+    engine.propagator(s, "hermitized")
+    tracemalloc.start()
+    try:
+        engine.evolve_quantum_0d(s, F0, 5000, mode="hermitized")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
