@@ -200,23 +200,26 @@ def step(fld, tau, dt):
 
 
 def evolve_0d(f0, tau, dt, steps):
-    """Iterate single-site collisions and return all states, (steps+1, Q).
+    """Single-site collisions f <- f - lam (f - feq(f)), lam = dt/tau,
+    in closed form: all states, (steps+1, Q).
 
-    The lattice is inferred from the population count.  With moments
-    conserved the local equilibrium is a fixed point, so f(t) - feq
-    shrinks geometrically by the factor 1 - dt/tau per step.
+    The lattice is inferred from the population count.  BGK conserves rho
+    and rho u, so feq(f_t) = feq(f0) at every step and the map is affine:
+    f_t = f0 - lam s_t (f0 - feq(f0)) with s_t = Sum_{k<t} (1 - lam)^k,
+    exact for any lam in (0, 2).  s_1 = 1, so row 1 is one step of the map
+    bit for bit.
     """
     check_tau(tau, dt)
-    f = np.asarray(f0, dtype=float).copy()
+    f = np.asarray(f0, dtype=float)
     model = model_for_q(f.shape[-1] if f.ndim else 0)
     if f.shape != (model.Q,):
         raise ValueError(f"f0 must have shape ({model.Q},), got {f.shape}")
     hist = np.empty((steps + 1, model.Q))
     hist[0] = f
-    lam = dt / tau
-    for t in range(1, steps + 1):
-        f = f - lam * (f - equilibrium(f, model))
-        hist[t] = f
+    if steps:
+        lam = dt / tau
+        s = np.cumsum((1.0 - lam) ** np.arange(steps))
+        hist[1:] = f - (lam * s)[:, None] * (f - equilibrium(f, model))
     return hist
 
 

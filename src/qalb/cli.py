@@ -204,6 +204,8 @@ def resolve_f0(choice, model):
 
 
 def _fmt(v):
+    if isinstance(v, float):  # np.float64 too: the bulk of every table
+        return format(v, ".17g")
     if v is None:
         return ""
     if isinstance(v, str):
@@ -306,7 +308,7 @@ def cmd_quantum(config):
             flag[res.flag_step:] = 1.0
         columns += [res.decoded, res.rel_err, flag]
     table = np.column_stack(columns)
-    write_csv(config["out"], header, table)
+    write_csv(config["out"], header, (row.tolist() for row in table))
     for qc, method, res in runs:
         note = f"flagged at step {res.flag_step}: {res.flag_reason}" if (
             res.flagged

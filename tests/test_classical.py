@@ -1,5 +1,6 @@
 """BGK collision, periodic streaming, and the Hermite route to equilibrium."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -195,6 +196,77 @@ def test_evolve_0d_guards():
         classical.evolve_0d(np.ones(5), 1.0, 0.1, 3)
     with pytest.raises(TauTooSmall):
         classical.evolve_0d(np.ones(3) / 3.0, 0.04, 0.1, 3)
+
+
+def _relaxation_40_digits(f0, lam, model, ts):
+    """feq + (1 - lam)^t (f0 - feq) at steps ts, with feq and the power at
+    40 digits, rounded to floats at the end."""
+    with mpmath.workdps(40):
+        f = [mpmath.mpf(float(x)) for x in f0]
+        c = [[mpmath.mpf(int(x)) for x in row] for row in model.velocities]
+        rho = sum(f)
+        u = [sum(f[j] * c[j][d] for j in range(model.Q)) / rho
+             for d in range(model.D)]
+        uu = sum(x * x for x in u)
+        feq = []
+        for i in range(model.Q):
+            cu = sum(c[i][d] * u[d] for d in range(model.D))
+            w = mpmath.mpf(float(model.weights[i]))
+            feq.append(rho * w * (1 + 3 * cu + 4.5 * cu * cu - 1.5 * uu))
+        x = 1 - mpmath.mpf(lam)
+        return np.array([[float(feq[i] + x ** t * (f[i] - feq[i]))
+                          for i in range(model.Q)] for t in ts])
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.05, 0.5, 1.0, 1.5, 1.9])
+@pytest.mark.parametrize("name", ["D1Q3", "D2Q9", "D3Q27"])
+def test_evolve_0d_matches_relaxation_at_40_digits(name, lam):
+    model = lattice.build_lattice(name)
+    f0 = np.random.default_rng(model.Q).dirichlet(np.ones(model.Q))
+    hist = classical.evolve_0d(f0, 1.0, lam, 300)
+    ts = list(range(0, 301, 7)) + [300]
+    ref = _relaxation_40_digits(f0, lam, model, ts)
+    assert np.max(np.abs(hist[ts] - ref)) < 2e-15
+
+
+def test_evolve_0d_long_run_at_40_digits():
+    f0 = np.array([0.6, 0.1, 0.3])
+    hist = classical.evolve_0d(f0, 1.0, 1e-3, 100_000)
+    ts = list(range(0, 100_001, 997)) + [100_000]
+    ref = _relaxation_40_digits(f0, 1e-3, D1Q3, ts)
+    assert np.max(np.abs(hist[ts] - ref)) < 5e-15
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.5, 1.5, 1.9])
+def test_evolve_0d_matches_iterated_map(lam):
+    f = np.random.default_rng(4).dirichlet(np.ones(9))
+    hist = classical.evolve_0d(f, 1.0, lam, 200)
+    for t in range(1, 201):
+        f = f - lam * (f - classical.equilibrium(f, D2Q9))
+        assert np.max(np.abs(hist[t] - f)) < 5e-14
+
+
+def test_evolve_0d_evaluates_equilibrium_once(monkeypatch):
+    calls = []
+    equilibrium = classical.equilibrium
+
+    def counted(f, model):
+        calls.append(1)
+        return equilibrium(f, model)
+
+    monkeypatch.setattr(classical, "equilibrium", counted)
+    f0 = np.array([0.6, 0.1, 0.3])
+    classical.evolve_0d(f0, 1.0, 0.1, 0)
+    assert len(calls) == 0
+    classical.evolve_0d(f0, 1.0, 0.1, 50)
+    assert len(calls) <= 1
+
+
+def test_evolve_0d_density_guard_starts_at_step_one():
+    f0 = np.array([0.2, -0.5, 0.1])  # rho = -0.2
+    assert np.array_equal(classical.evolve_0d(f0, 1.0, 0.1, 0), [f0])
+    with pytest.raises(ZeroDensity):
+        classical.evolve_0d(f0, 1.0, 0.1, 1)
 
 
 def test_hermite_bracket_matches_quadratic_equilibrium():

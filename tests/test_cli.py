@@ -15,6 +15,28 @@ def _read(path):
     return path.read_text().splitlines()
 
 
+@pytest.mark.parametrize(
+    "value,text",
+    [
+        (0.1, "0.10000000000000001"),
+        (np.float64(0.1), "0.10000000000000001"),
+        (np.float32(0.1), "0.10000000149011612"),
+        (1.0, "1"),
+        (float("nan"), "nan"),
+        (-float("inf"), "-inf"),
+        (True, "1"),
+        (np.True_, "1"),
+        (3, "3"),
+        (np.int64(3), "3"),
+        (None, ""),
+        ("x", "x"),
+        ((1, 2.5), "1,2.5"),
+    ],
+)
+def test_fmt_cells(value, text):
+    assert cli._fmt(value) == text
+
+
 def test_parse_config_text():
     raw = cli.parse_config_text("tau = 1.5\n# note\nsteps=3\n", "cfg")
     assert raw["tau"] == ("1.5", "cfg:1")

@@ -342,6 +342,13 @@ def _injected_setup(U):
 
 _GROUND_OFF = np.diag([0.0] + [1.0] * 7)
 
+
+def _with_entry(i, j, value):
+    U = np.eye(8)
+    U[i, j] = value
+    return U
+
+
 _INJECTED = [
     ("zero", np.zeros((8, 8)), "vanished norm"),
     ("double", 2.0 * np.eye(8), "norm growth monitor"),
@@ -351,6 +358,8 @@ _INJECTED = [
     ("ground-off-double", 2.0 * _GROUND_OFF, "norm growth monitor"),
     # every entry stays finite while the norm overflows to inf
     ("overflow", 1e200 * np.eye(8), "norm growth monitor"),
+    ("inf-entry", _with_entry(0, 0, np.inf), "non-finite state"),
+    ("nan-entry", _with_entry(7, 0, np.nan), "non-finite state"),
 ]
 
 
