@@ -244,20 +244,20 @@ def cmd_classical(config):
     steps, dt = config["steps"], config["dt"]
     ucols = [f"u_{d}" for d in range(model.D)]
     fcols = [f"f_{i}" for i in range(model.Q)]
-    rows = []
     if config["run"] == "0d":
         header = ["t"] + fcols + ["rho"] + ucols
         f0 = resolve_f0(config["f0"], model)
         series = classical.evolve_0d(f0, config["tau"], dt, steps)
-        for k in range(steps + 1):
-            rho, u = classical.site_moments(series[k], model)
-            rows.append([k * dt, *series[k], rho, *np.atleast_1d(u)])
+        rho, u = classical.site_moments(series, model)
+        table = np.column_stack([np.arange(steps + 1) * dt, series, rho, u])
+        rows = table.tolist()
     else:
         header = ["t", "site"] + fcols + ["rho"] + ucols
         classical.check_tau(config["tau"], dt)
         sites = config["sites"]
         shape = (sites,) * model.D
         total = int(np.prod(shape))
+        rows = []
         data = 1.0 + 0.01 * np.arange(total * model.Q, dtype=float)
         fld = classical.DistributionField(
             model=model, data=data.reshape(*shape, model.Q)

@@ -15,7 +15,7 @@ P^p q^k, assembled from classical.equilibrium_terms for each population.
 """
 
 from dataclasses import dataclass, field
-from math import exp, isfinite, sqrt
+from math import exp, sqrt
 from typing import Optional
 
 import numpy as np
@@ -334,6 +334,51 @@ def collision_increments(setup, psi):
     return rates
 
 
+def _block_size(n, steps):
+    """States per block of the march on a register of dimension n: K = 2^k
+    with k = min(4, floor(2 steps / n)), so the k squarings that form U^K
+    cost at most twice the march's n^2 flops per step; capped at steps + 1,
+    so U^K is formed only when a later block exists."""
+    return min(2 ** min(4, 2 * steps // n), steps + 1)
+
+
+def _march(U, psi, steps, index):
+    """Readout amplitudes at index, norms and finiteness of the states
+    psi, U psi, ..., U^steps psi, one block of K rows at a time.
+
+    The first block applies U once per state; every later block is one
+    matrix-matrix product with P = U^K (P is U itself at K = 1).  Only two
+    blocks are held, never the (steps + 1) x n history.
+    """
+    K = _block_size(psi.size, steps)
+    block = np.empty((K, psi.size))
+    block[0] = psi
+    for j in range(1, K):
+        np.matmul(U, block[j - 1], out=block[j])
+    P = np.linalg.matrix_power(U, K) if K <= steps else None
+    spare = np.empty_like(block)
+    amps = np.empty((steps + 1, index.size))
+    norms = np.empty(steps + 1)
+    finite = np.empty(steps + 1, dtype=bool)
+    for start in range(0, steps + 1, K):
+        stop = min(start + K, steps + 1)
+        if start:
+            # state start + j is P applied to state start - K + j
+            np.matmul(block[: stop - start], P.T, out=spare[: stop - start])
+            block, spare = spare, block
+        states = block[: stop - start]
+        amps[start:stop] = states[:, index]
+        norm = np.sqrt(np.einsum("ij,ij->i", states, states))
+        norms[start:stop] = norm
+        # a NaN or inf entry makes the sum of squares non-finite, so only
+        # those states are scanned; an overflowed norm of finite entries
+        # is finite
+        fin = np.isfinite(norm)
+        fin[~fin] = np.all(np.isfinite(states[~fin]), axis=1)
+        finite[start:stop] = fin
+    return amps, norms, finite
+
+
 @dataclass
 class EvolutionResult:
     times: np.ndarray
@@ -350,6 +395,12 @@ class EvolutionResult:
 
 def evolve_quantum_0d(setup, f0, steps, mode="nonhermitian", init="exact"):
     """March the encoded register, then decode and check every step.
+
+    The march is blocked: the first K states come from one product with
+    the propagator U each, every later block of K from one matrix-matrix
+    product with U^K.  K = 2^k with k = min(4, floor(2 steps / dim)), capped
+    at steps + 1; so K = 1 (a plain march on U) unless the march is long
+    for its register, and the k squarings cost at most twice its flops.
 
     Preconditions: the populations sum to one and each lies in [-1, 1].
     Divergence never raises; the result carries the first flagged step and
@@ -375,18 +426,7 @@ def evolve_quantum_0d(setup, f0, steps, mode="nonhermitian", init="exact"):
     U = propagator(setup, mode)
     _, bound, cert_flagged = certificate(setup, mode)
     psi = initial_state(setup, f0, init=init)
-    index = _readout_index(setup)
-    amps = np.empty((steps + 1, index.size))
-    norms = np.empty(steps + 1)
-    finite = np.empty(steps + 1, dtype=bool)
-    for t in range(steps + 1):
-        if t:
-            psi = U @ psi
-        amps[t] = psi[index]
-        norms[t] = norm = sqrt(psi @ psi)
-        # a NaN or inf entry makes the sum of squares non-finite, so the
-        # scan runs only then; an overflowed norm of finite entries is finite
-        finite[t] = isfinite(norm) or np.all(np.isfinite(psi))
+    amps, norms, finite = _march(U, psi, steps, _readout_index(setup))
     decoded = _ratio_decode(amps)
     before, after = norms[:-1], norms[1:]
     ratio_bound = bound * CERTIFICATE_MARGIN

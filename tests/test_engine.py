@@ -314,16 +314,78 @@ def test_hermitized_preserves_norm_and_mass():
     assert np.max(np.abs(res.mass - 1.0)) < 0.01
 
 
-def test_decode_outside_input_domain_flags():
+def test_decode_outside_input_domain_flags(monkeypatch):
     # a clean certificate does not keep the decoded values bounded: from
     # this start both modes drift past the encodable range within 1500 steps
     s = _setup(2)
+    f0 = np.array([0.1, 0.1, 0.8])
     for mode in engine.MODES:
-        res = engine.evolve_quantum_0d(s, np.array([0.1, 0.1, 0.8]), 1500, mode)
+        res = engine.evolve_quantum_0d(s, f0, 1500, mode)
         assert res.flagged
         assert res.flag_reason == "decoded population outside [-1, 1]"
         assert np.all(np.abs(res.decoded[: res.flag_step]) <= 1.0)
         assert np.any(np.abs(res.decoded[res.flag_step]) > 1.0)
+        ref = _one_step_result(monkeypatch, s, f0, 1500, mode)
+        assert res.flag_step == ref.flag_step
+
+
+def _one_step_march(U, psi, steps, index):
+    # the plain march: one U @ psi per state, each state scanned in full
+    amps = np.empty((steps + 1, index.size))
+    norms = np.empty(steps + 1)
+    finite = np.empty(steps + 1, dtype=bool)
+    for t in range(steps + 1):
+        if t:
+            psi = U @ psi
+        amps[t] = psi[index]
+        norms[t] = np.sqrt(psi @ psi)
+        finite[t] = np.all(np.isfinite(psi))
+    return amps, norms, finite
+
+
+def _one_step_result(monkeypatch, setup, f0, steps, mode):
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_march", _one_step_march)
+        return engine.evolve_quantum_0d(setup, f0, steps, mode)
+
+
+@pytest.mark.parametrize("qubits", [2, 3])
+@pytest.mark.parametrize("mode", engine.MODES)
+def test_blocked_march_matches_one_step_march(monkeypatch, qubits, mode):
+    # 1500 steps at K = 16: 93 blocks from products with U^16, the last
+    # one partial
+    s = _setup(qubits)
+    assert engine._block_size(s.dim, 1500) == 16
+    res = engine.evolve_quantum_0d(s, F0, 1500, mode)
+    ref = _one_step_result(monkeypatch, s, F0, 1500, mode)
+    assert np.max(np.abs(res.decoded - ref.decoded)) <= 1e-12
+    assert np.max(np.abs(res.norms / ref.norms - 1.0)) <= 1e-12
+    assert (res.flagged, res.flag_step, res.flag_reason) == (
+        ref.flagged, ref.flag_step, ref.flag_reason
+    )
+
+
+def test_march_within_first_block_is_one_step_march(monkeypatch):
+    # with steps + 1 <= K every state comes from U @ psi, as in the plain
+    # march, and U^K is never formed
+    s = _setup(3)
+    ref = _one_step_result(monkeypatch, s, F0, 40, "nonhermitian")
+
+    def refuse(*args):
+        raise AssertionError("U^K formed without a later block")
+
+    monkeypatch.setattr(engine, "_block_size", lambda n, steps: steps + 1)
+    monkeypatch.setattr(np.linalg, "matrix_power", refuse)
+    res = engine.evolve_quantum_0d(s, F0, 40, "nonhermitian")
+    assert np.array_equal(res.decoded, ref.decoded)
+
+
+@pytest.mark.parametrize(
+    "n,steps,K",
+    [(4096, 2, 1), (4096, 1000, 1), (512, 1500, 16), (64, 1500, 16)],
+)
+def test_block_rule(n, steps, K):
+    assert engine._block_size(n, steps) == K
 
 
 def test_relative_error_nan_sentinel():
@@ -369,10 +431,13 @@ _INJECTED = [
     "U,reason", [c[1:] for c in _INJECTED], ids=[c[0] for c in _INJECTED]
 )
 def test_injected_propagator_flags_first_step(U, reason):
-    res = engine.evolve_quantum_0d(_injected_setup(U), F0, 3)
+    # dim 8 at 40 steps gives K = 16: steps 16-40 come from products with
+    # U^16, so NaN or overflow inside U^16 itself is marched too
+    assert engine._block_size(8, 40) == 16
+    res = engine.evolve_quantum_0d(_injected_setup(U), F0, 40)
     assert res.flagged
     assert (res.flag_step, res.flag_reason) == (1, reason)
-    assert res.decoded.shape == (4, 3) and res.norms.shape == (4,)
+    assert res.decoded.shape == (41, 3) and res.norms.shape == (41,)
     assert np.max(np.abs(res.decoded[0] - F0)) < 1e-13
 
 
@@ -396,3 +461,18 @@ def test_march_memory_stays_below_history():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_march_at_one_state_per_block_copies_no_propagator():
+    # K = 1 here, so every later block is a product with U itself: the
+    # march holds far less than one 2 MB copy of U or U.T
+    s = _setup(3)
+    engine.propagator(s, "hermitized")
+    assert engine._block_size(s.dim, 200) == 1
+    tracemalloc.start()
+    try:
+        engine.evolve_quantum_0d(s, F0, 200, mode="hermitized")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
