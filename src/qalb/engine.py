@@ -22,7 +22,7 @@ import numpy as np
 
 from . import classical, fock
 from .errors import OutOfRange, TooLarge
-from .linalg import expm
+from .linalg import expm, expm_action, onenorm, taylor_degree
 
 CERTIFICATE_MARGIN = 1.01
 
@@ -171,9 +171,11 @@ def generator(setup, mode):
 
 
 def _build(setup, mode):
-    """(U, sigma) of one collision mode from a single build of A = dt G:
+    """(A, sigma) of one collision mode from a single build of A = dt G:
     sigma = e^mu with mu a certified upper bound on the largest eigenvalue
-    of S = (A + A^T)/2, then U = expm(A).  Memoized on the setup."""
+    of S = (A + A^T)/2.  Memoized on the setup.  The certificate reads
+    sigma; the march reads A, either to advance by the action of expm(A)
+    or, on the dense path, through the propagator expm(A)."""
     key = ("build", mode)
     if key not in setup._cache:
         A = setup.dt * generator(setup, mode)
@@ -181,13 +183,19 @@ def _build(setup, mode):
         S *= 0.5
         sigma = exp(_lambda_max_bound(S))
         del S
-        setup._cache[key] = (expm(A), sigma)
+        setup._cache[key] = (A, sigma)
     return setup._cache[key]
 
 
 def propagator(setup, mode):
-    """One-step propagator expm(dt G) = expm(-i dt H), a real matrix."""
-    return _build(setup, mode)[0]
+    """One-step propagator expm(dt G) = expm(-i dt H), a real matrix,
+    memoized on the setup.  It is formed only when asked for: a march
+    short for its register (_by_action) advances by the action of expm(A)
+    and never calls it; a longer one marches on it."""
+    key = ("propagator", mode)
+    if key not in setup._cache:
+        setup._cache[key] = expm(_build(setup, mode)[0])
+    return setup._cache[key]
 
 
 def certificate(setup, mode):
@@ -201,7 +209,10 @@ def certificate(setup, mode):
     e^{dt (Q - D) / (2 tau)}; sigma above that envelope by more than 1
     percent marks the setup as divergent before any state is evolved.  In
     hermitized mode A is exactly antisymmetric, so S is 0 and sigma is
-    exactly 1.  Returns (sigma, growth_bound, flagged).
+    exactly 1.  sigma comes from the shared build of A alone, so it bounds
+    the step on either path of the march, dense or by the action of the
+    exponential, and the certificate never forms expm(A).  Returns
+    (sigma, growth_bound, flagged).
     """
     sigma = _build(setup, mode)[1]
     Q, D = setup.model.Q, setup.model.D
@@ -342,31 +353,73 @@ def _block_size(n, steps):
     return min(2 ** min(4, 2 * steps // n), steps + 1)
 
 
-def _march(U, psi, steps, index):
-    """Readout amplitudes at index, norms and finiteness of the states
-    psi, U psi, ..., U^steps psi, one block of K rows at a time.
+def _by_action(n, steps, norm):
+    """Whether a march of steps on a register of dimension n advances by
+    the action of the exponential instead of on the dense propagator: when
+    its steps * m * s products with A, (m, s) = taylor_degree(norm) for
+    norm = ||A||_1, number below n / 4.  Forming expm(A) costs as much as
+    about 1,000 products with A at n = 4096 and 600 at n = 512 (measured),
+    so n / 4 is a conservative share.  Such a march grows the state's
+    1-norm by at most e^{steps norm} < e^{n / 22}, as m s >= 5.5 norm, so
+    expm_action never meets a non-finite state at n <= _DIM_LIMIT."""
+    m, s = taylor_degree(norm)
+    return 4 * steps * m * s < n
 
-    The first block applies U once per state; every later block is one
-    matrix-matrix product with P = U^K (P is U itself at K = 1).  Only two
-    blocks are held, never the (steps + 1) x n history.
-    """
+
+def _action_blocks(A, psi, steps):
+    """psi, expm(A) psi, ..., expm(A)^steps psi, one state per block, each
+    the action of the exponential on the one before."""
+    yield psi[None]
+    for _ in range(steps):
+        psi = expm_action(A, psi)
+        yield psi[None]
+
+
+def _dense_blocks(U, psi, steps):
+    """psi, U psi, ..., U^steps psi in blocks of K = _block_size(n, steps)
+    rows.  The first block applies U once per state; every later block is
+    one matrix-matrix product with P = U^K (P is U itself at K = 1), formed
+    only when a later block exists.  Blocks are yielded from two buffers
+    that are reused."""
     K = _block_size(psi.size, steps)
     block = np.empty((K, psi.size))
     block[0] = psi
     for j in range(1, K):
         np.matmul(U, block[j - 1], out=block[j])
-    P = np.linalg.matrix_power(U, K) if K <= steps else None
+    yield block
+    if K > steps:
+        return
+    P = np.linalg.matrix_power(U, K)
     spare = np.empty_like(block)
+    for start in range(K, steps + 1, K):
+        rows = min(K, steps + 1 - start)
+        # state start + j is P applied to state start - K + j
+        np.matmul(block[:rows], P.T, out=spare[:rows])
+        block, spare = spare, block
+        yield block[:rows]
+
+
+def _march(setup, mode, psi, steps):
+    """Readout amplitudes, norms and finiteness of the states psi, U psi,
+    ..., U^steps psi, with U = expm(A) the propagator of mode, taken a
+    block of states at a time; the (steps + 1) x n history is never held.
+
+    The states come by the action of expm(A) when _by_action(n, steps,
+    ||A||_1) holds, so a march short for its register never forms U, and
+    from the blocked dense march on U (_dense_blocks) otherwise.
+    """
+    A = _build(setup, mode)[0]
+    if _by_action(psi.size, steps, onenorm(A)):
+        blocks = _action_blocks(A, psi, steps)
+    else:
+        blocks = _dense_blocks(propagator(setup, mode), psi, steps)
+    index = _readout_index(setup)
     amps = np.empty((steps + 1, index.size))
     norms = np.empty(steps + 1)
     finite = np.empty(steps + 1, dtype=bool)
-    for start in range(0, steps + 1, K):
-        stop = min(start + K, steps + 1)
-        if start:
-            # state start + j is P applied to state start - K + j
-            np.matmul(block[: stop - start], P.T, out=spare[: stop - start])
-            block, spare = spare, block
-        states = block[: stop - start]
+    start = 0
+    for states in blocks:
+        stop = start + len(states)
         amps[start:stop] = states[:, index]
         norm = np.sqrt(np.einsum("ij,ij->i", states, states))
         norms[start:stop] = norm
@@ -376,6 +429,7 @@ def _march(U, psi, steps, index):
         fin = np.isfinite(norm)
         fin[~fin] = np.all(np.isfinite(states[~fin]), axis=1)
         finite[start:stop] = fin
+        start = stop
     return amps, norms, finite
 
 
@@ -396,11 +450,20 @@ class EvolutionResult:
 def evolve_quantum_0d(setup, f0, steps, mode="nonhermitian", init="exact"):
     """March the encoded register, then decode and check every step.
 
-    The march is blocked: the first K states come from one product with
-    the propagator U each, every later block of K from one matrix-matrix
-    product with U^K.  K = 2^k with k = min(4, floor(2 steps / dim)), capped
-    at steps + 1; so K = 1 (a plain march on U) unless the march is long
-    for its register, and the k squarings cost at most twice its flops.
+    The march takes one of two paths, picked only from the register
+    dimension n, the step count and ||A||_1, A = dt G (_by_action):
+    - short for its register (steps * m * s < n / 4, with m * s the products
+      with A per step from linalg.taylor_degree): each state is the action
+      of expm(A) on the one before (linalg.expm_action), and the dense
+      propagator is never formed;
+    - otherwise, blocked on the dense propagator U = expm(A): the first K
+      states come from one product with U each, every later block of K
+      from one matrix-matrix product with U^K.  K = 2^k with
+      k = min(4, floor(2 steps / n)), capped at steps + 1; so K = 1 (a
+      plain march on U) unless the march is long for its register, and the
+      k squarings cost at most twice its flops.
+    Both paths share the build of A and the certificate, and feed the same
+    records and checks.
 
     Preconditions: the populations sum to one and each lies in [-1, 1].
     Divergence never raises; the result carries the first flagged step and
@@ -423,10 +486,9 @@ def evolve_quantum_0d(setup, f0, steps, mode="nonhermitian", init="exact"):
         raise OutOfRange("each population must lie in [-1, 1]")
     Q, D = setup.model.Q, setup.model.D
     tau, dt = setup.tau, setup.dt
-    U = propagator(setup, mode)
     _, bound, cert_flagged = certificate(setup, mode)
     psi = initial_state(setup, f0, init=init)
-    amps, norms, finite = _march(U, psi, steps, _readout_index(setup))
+    amps, norms, finite = _march(setup, mode, psi, steps)
     decoded = _ratio_decode(amps)
     before, after = norms[:-1], norms[1:]
     ratio_bound = bound * CERTIFICATE_MARGIN

@@ -2,9 +2,10 @@
 
 Criterion 7 is split over two tests: the columns of the linear block sum
 to 1 and the quadratic block has zero trace over its first index, while
-the rows of the linear block sum to Q w_i (sum_j c_j = 0).  One more test
-checks the qc=4 propagators; it reuses the criterion-5 fixture, so the
-dense qc=4 build runs once.
+the rows of the linear block sum to Q w_i (sum_j c_j = 0).  Two more tests
+check the qc=4 propagators and the 2-step qc=4 march, which advances by the
+action of the exponential, against them; they reuse the criterion-5
+fixture, so each dense qc=4 build runs once.
 """
 
 import time
@@ -161,6 +162,19 @@ def test_qc4_propagators_match_expm_action(quantum_runs):
         want = scipy.sparse.linalg.expm_multiply(A, V)
         gap = np.max(np.abs(engine.propagator(s4, mode) @ V - want))
         assert gap <= 1e-14 * np.max(np.abs(want))
+
+
+def test_qc4_short_march_matches_dense_products(quantum_runs):
+    # the 2-step qc=4 run marches by the action of the exponential; two
+    # products with the dense propagator give the same states
+    s4, res = quantum_runs["s4"], quantum_runs["nh4"]
+    U = engine.propagator(s4, "nonhermitian")
+    psi = engine.initial_state(s4, F0, init="exact")
+    for t in range(3):
+        values, ok = engine.decode_state(s4, psi)
+        assert ok and np.max(np.abs(res.decoded[t] - values)) <= 1e-13
+        assert abs(res.norms[t] / np.linalg.norm(psi) - 1.0) <= 1e-13
+        psi = U @ psi
 
 
 def test_criterion_05b_nonhermitian_qc2_tracks(quantum_runs):

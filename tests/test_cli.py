@@ -361,14 +361,17 @@ def test_grid_stream_guards_tau(tmp_path, capsys, steps):
 
 
 def test_package_runs_without_scipy(tmp_path):
-    # scipy is a test-only dependency: importing every module and running a
-    # default quantum call must not load it
+    # scipy is a test-only dependency: importing every module, running a
+    # default quantum call (dense march) and a 2-step qc=3 one (march by the
+    # action of the exponential) must not load it
+    short = ["quantum", "--set", "qc=3", "--set", "steps=2"]
     code = (
         "import importlib, pkgutil, sys, qalb\n"
         "for mod in pkgutil.iter_modules(qalb.__path__):\n"
         "    importlib.import_module('qalb.' + mod.name)\n"
         "from qalb import cli\n"
         f"assert cli.main(['quantum', '--out', {str(tmp_path / 'q.csv')!r}]) == 0\n"
+        f"assert cli.main({short + ['--out', str(tmp_path / 's.csv')]!r}) == 4\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = os.path.dirname(os.path.dirname(qalb.__file__))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qalb import classical, engine, fock, lattice
+from qalb import classical, engine, fock, lattice, linalg
 from qalb.errors import OutOfRange, TauTooSmall, TooLarge
 
 D1Q3 = lattice.build_lattice("D1Q3")
@@ -329,8 +329,11 @@ def test_decode_outside_input_domain_flags(monkeypatch):
         assert res.flag_step == ref.flag_step
 
 
-def _one_step_march(U, psi, steps, index):
-    # the plain march: one U @ psi per state, each state scanned in full
+def _one_step_march(setup, mode, psi, steps):
+    # the plain march on the dense propagator, whatever the path rule says:
+    # one U @ psi per state, each state scanned in full
+    U = engine.propagator(setup, mode)
+    index = engine._readout_index(setup)
     amps = np.empty((steps + 1, index.size))
     norms = np.empty(steps + 1)
     finite = np.empty(steps + 1, dtype=bool)
@@ -388,6 +391,51 @@ def test_block_rule(n, steps, K):
     assert engine._block_size(n, steps) == K
 
 
+# ||dt G||_1 of the D1Q3 non-Hermitian generator by register dimension
+# (qc 1-4); the hermitized ones are smaller and give the same verdicts
+_NORM = {8: 0.004093, 64: 0.054619, 512: 0.238535, 4096: 0.874142}
+
+
+@pytest.mark.parametrize(
+    "n,steps,by_action",
+    [
+        (4096, 2, True),  # m s = 17: 34 products against n / 4 = 1024
+        (4096, 60, True),  # the last step counts on each side of n / 4
+        (4096, 61, False),
+        (512, 10, True),  # m s = 12
+        (512, 11, False),
+        (4096, 1000, False),
+        (512, 1500, False),
+        (64, 1500, False),
+        (8, 40, False),  # the injected-propagator cases stay dense
+    ],
+)
+def test_path_rule(n, steps, by_action):
+    assert engine._by_action(n, steps, _NORM[n]) == by_action
+
+
+@pytest.mark.parametrize("mode", engine.MODES)
+def test_short_march_takes_the_action_path(monkeypatch, mode):
+    # qc=3 for 2 steps: 2 * 12 products with A against n / 4 = 128, so the
+    # march never forms the dense propagator
+    s = _setup(3)
+
+    def refuse(*args):
+        raise AssertionError("dense expm formed on the action path")
+
+    with monkeypatch.context() as m:
+        m.setattr(engine, "expm", refuse)
+        m.setattr(linalg, "expm", refuse)
+        res = engine.evolve_quantum_0d(s, F0, 2, mode)
+    assert ("propagator", mode) not in s._cache
+    ref = _one_step_result(monkeypatch, s, F0, 2, mode)
+    assert np.max(np.abs(res.decoded - ref.decoded)) <= 1e-13
+    assert np.max(np.abs(res.norms / ref.norms - 1.0)) <= 1e-13
+    assert (res.flagged, res.flag_step, res.flag_reason) == (
+        ref.flagged, ref.flag_step, ref.flag_reason
+    )
+
+
 def test_relative_error_nan_sentinel():
     errs, zeros = engine.relative_error(np.array([1.0, 2.0]), np.array([0.0, 2.0]))
     assert np.isnan(errs[0]) and errs[1] == 0.0
@@ -395,10 +443,10 @@ def test_relative_error_nan_sentinel():
 
 
 def _injected_setup(U):
-    # D1Q3 qc=1 (dim 8) marching a crafted propagator under a clean
+    # D1Q3 qc=1 (dim 8) marching a crafted propagator under its own clean
     # certificate, so every flag comes from the per-step checks
     s = _setup(1)
-    s._cache[("build", "nonhermitian")] = (U, 1.0)
+    s._cache[("propagator", "nonhermitian")] = U
     return s
 
 

@@ -1,10 +1,12 @@
-"""Matrix exponential against an independent reference."""
+"""Matrix exponential and its action against independent references."""
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
-from qalb import linalg
+from qalb import engine, lattice, linalg
 from qalb.errors import DimMismatch, NonFinite, TooLarge
 
 
@@ -147,3 +149,93 @@ def test_expm_guards():
     with pytest.raises(NonFinite):
         linalg.expm(bad)
 
+
+
+def test_taylor_table_is_scipys():
+    # scipy's expm_multiply reads the same theta_m table (Al-Mohy and
+    # Higham 2011), so a wrong entry here shows as a mismatch
+    from scipy.sparse.linalg._expm_multiply import _theta
+
+    assert linalg._THETA_TAYLOR == _theta
+
+
+@pytest.mark.parametrize(
+    "norm,m,s",
+    [(0.0, 0, 1), (0.874142, 17, 1), (0.238535, 12, 1), (9.9, 55, 1),
+     (12.0, 40, 2), (30.0, 40, 5)],
+)
+def test_taylor_degree_takes_fewest_products(norm, m, s):
+    assert linalg.taylor_degree(norm) == (m, s)
+    if norm:
+        best = min(k * np.ceil(norm / t) for k, t in linalg._THETA_TAYLOR.items())
+        assert m * s == best
+
+
+def _action_oracle(A, B):
+    return scipy.sparse.linalg.expm_multiply(scipy.sparse.csr_array(A), B)
+
+
+@pytest.mark.parametrize("mode", ["nonhermitian", "hermitized"])
+@pytest.mark.parametrize("qubits", [1, 2, 3, 4])
+def test_expm_action_matches_scipy_on_generators(qubits, mode):
+    # the D1Q3 collision generators the engine marches with, on a block of
+    # three columns and on one vector
+    s = engine.make_setup(lattice.build_lattice("D1Q3"), qubits)
+    A = s.dt * engine.generator(s, mode)
+    B = np.random.default_rng(qubits).standard_normal((s.dim, 3))
+    before = A.copy(), B.copy()
+    for operand in (B, B[:, 0]):
+        want = _action_oracle(A, operand)
+        got = linalg.expm_action(A, operand)
+        assert got.shape == operand.shape and got.dtype == np.float64
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.array_equal(A, before[0]) and np.array_equal(B, before[1])
+
+
+@pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
+def test_expm_action_with_substeps_matches_scipy(complex_input):
+    # ||A||_1 = 30 takes m = 40 in s = 5 substeps
+    rng = np.random.default_rng(12)
+    A = _scaled(rng, 40, 30.0, complex_input)
+    assert linalg.taylor_degree(np.linalg.norm(A, 1))[1] > 1
+    B = rng.standard_normal((40, 4))
+    want = scipy.linalg.expm(A) @ B
+    got = linalg.expm_action(A, B)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(got - _action_oracle(A, B))) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_expm_action_empty_and_zero():
+    for shape in ((0,), (0, 3)):
+        out = linalg.expm_action(np.zeros((0, 0)), np.zeros(shape))
+        assert out.shape == shape
+    b = np.arange(4.0)
+    out = linalg.expm_action(np.zeros((4, 4)), b)
+    assert np.array_equal(out, b) and not np.shares_memory(out, b)
+
+
+def test_onenorm_matches_numpy():
+    rng = np.random.default_rng(8)
+    for n in (1, 5, linalg._NORM_ROWS + 3, 3 * linalg._NORM_ROWS):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        want = np.linalg.norm(a, 1)
+        assert abs(linalg.onenorm(a) - want) <= 1e-14 * want
+    assert linalg.onenorm(np.zeros((0, 0))) == 0.0
+
+
+def test_expm_action_guards():
+    with pytest.raises(DimMismatch):
+        linalg.expm_action(np.zeros((2, 3)), np.zeros(2))
+    with pytest.raises(DimMismatch):
+        linalg.expm_action(np.eye(3), np.zeros(4))
+    with pytest.raises(DimMismatch):
+        linalg.expm_action(np.eye(3), np.zeros((3, 2, 2)))
+    bad = np.eye(3)
+    bad[2, 0] = np.inf
+    with pytest.raises(NonFinite):
+        linalg.expm_action(bad, np.ones(3))
+    bad[2, 0] = np.nan
+    with pytest.raises(NonFinite):
+        linalg.expm_action(bad, np.ones(3))
+    with pytest.raises(NonFinite):
+        linalg.expm_action(np.eye(3), np.array([1.0, np.nan, 0.0]))
