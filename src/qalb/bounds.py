@@ -217,33 +217,23 @@ def logistic_map_run(params, steps):
     alpha = params.alpha
     s = params.s
     kappa = _map_kappa(alpha, s)
-    if kappa != kappa:
-        nan = np.full(steps + 1, np.nan)
-        return LogisticErrorSeries(
-            eps=nan,
-            Z=nan.copy(),
-            eps_raw=raw,
-            alpha=alpha,
-            s=s,
-            kappa=np.nan,
-            r=np.nan,
-            real_kappa=False,
-            clamped=False,
-        )
+    real_kappa = kappa == kappa
     r = -2.0 * kappa * alpha
-    Z = np.empty(steps + 1)
-    eps = np.empty(steps + 1)
-    Z[0] = params.Z0
+    # a complex kappa leaves both series NaN
+    Z = np.full(steps + 1, np.nan)
+    eps = np.full(steps + 1, np.nan)
     clamped = False
-    scale = (2.0 * kappa / C1) * sqrt(tau / dt)
-    eps[0] = scale * (Z[0] - 0.5) - s
-    for t in range(steps):
-        z = r * Z[t] * (1.0 - Z[t])
-        if abs(z) > Z_CLAMP:
-            z = Z_CLAMP if z > 0 else -Z_CLAMP
-            clamped = True
-        Z[t + 1] = z
-        eps[t + 1] = scale * (z - 0.5) - s
+    if real_kappa:
+        Z[0] = params.Z0
+        scale = (2.0 * kappa / C1) * sqrt(tau / dt)
+        eps[0] = scale * (Z[0] - 0.5) - s
+        for t in range(steps):
+            z = r * Z[t] * (1.0 - Z[t])
+            if abs(z) > Z_CLAMP:
+                z = Z_CLAMP if z > 0 else -Z_CLAMP
+                clamped = True
+            Z[t + 1] = z
+            eps[t + 1] = scale * (z - 0.5) - s
     return LogisticErrorSeries(
         eps=eps,
         Z=Z,
@@ -252,7 +242,7 @@ def logistic_map_run(params, steps):
         s=s,
         kappa=kappa,
         r=r,
-        real_kappa=True,
+        real_kappa=real_kappa,
         clamped=clamped,
     )
 

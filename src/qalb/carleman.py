@@ -260,9 +260,9 @@ def clb_closed_d1q3(f0, omega, steps):
     State (f_rest, f_minus, f_plus, g) with g = (f_plus - f_minus)^2.  The
     momentum is a fixed point of the relaxation, so g never changes and
     the quadratic equilibrium becomes linear in the extended state; one
-    linear map reproduces the nonlinear per-step dynamics exactly.  The
-    equilibrium constants are homogenized through the density, hence the
-    unit-mass precondition.
+    linear map reproduces the nonlinear per-step dynamics exactly.  The map
+    rows come from classical.equilibrium_terms, whose constants are
+    homogenized through the density, hence the unit-mass precondition.
     """
     if not 0.0 < omega < 2.0:
         raise OmegaOutOfRange(f"omega must lie in (0, 2), got {omega}")
@@ -271,19 +271,17 @@ def clb_closed_d1q3(f0, omega, steps):
         raise ValueError(f"f0 must have shape (3,), got {f0.shape}")
     if abs(f0.sum() - 1.0) > 1e-9:
         raise ValueError(f"populations must sum to 1, got {f0.sum()!r}")
-    feq_rows = np.array(
-        [
-            [2.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0, -1.0],
-            [1.0 / 6.0, 2.0 / 3.0, -1.0 / 3.0, 0.5],
-            [1.0 / 6.0, -1.0 / 3.0, 2.0 / 3.0, 0.5],
-        ]
-    )
-    A = np.zeros((4, 4))
-    A[:3] = omega * feq_rows
-    A[0, 0] += 1.0 - omega
-    A[1, 1] += 1.0 - omega
-    A[2, 2] += 1.0 - omega
-    A[3, 3] = 1.0
+    model = classical.model_for_q(3)
+    A = np.eye(4)
+    A[:3, :3] *= 1.0 - omega
+    for i in range(3):
+        for e, coef in classical.equilibrium_terms(model, i).items():
+            if sum(e) == 0:  # w_i rho, rho = sum_j f_j
+                A[i, :3] += omega * coef
+            elif sum(e) == 1:
+                A[i, e.index(1)] += omega * coef
+            elif e == (0, 0, 2):  # every quadratic term is a multiple of g
+                A[i, 3] = omega * coef
     state = np.array([f0[0], f0[1], f0[2], (f0[2] - f0[1]) ** 2])
     hist = np.empty((steps + 1, 4))
     hist[0] = state

@@ -12,26 +12,23 @@ import numpy as np
 
 from .errors import TauTooSmall, ZeroDensity
 from .hermite import hermite_h
-from .lattice import build_lattice
-
-_NAME_BY_Q = {3: "D1Q3", 9: "D2Q9", 27: "D3Q27"}
-_NAME_BY_D = {1: "D1Q3", 2: "D2Q9", 3: "D3Q27"}
+from .lattice import _NAMES, build_lattice
 
 
 def model_for_q(Q):
     """The unique supported lattice with Q directions."""
-    try:
-        return build_lattice(_NAME_BY_Q[Q])
-    except KeyError:
-        raise ValueError(f"no lattice with {Q} directions") from None
+    for name, D in _NAMES.items():
+        if 3 ** D == Q:
+            return build_lattice(name)
+    raise ValueError(f"no lattice with {Q} directions")
 
 
 def model_for_dim(D):
     """The unique supported lattice in D dimensions."""
-    try:
-        return build_lattice(_NAME_BY_D[D])
-    except KeyError:
-        raise ValueError(f"no lattice in {D} dimensions") from None
+    for name, dim in _NAMES.items():
+        if dim == D:
+            return build_lattice(name)
+    raise ValueError(f"no lattice in {D} dimensions")
 
 
 def check_tau(tau, dt):

@@ -7,9 +7,9 @@ they came from.  Every successful run writes its data file plus a
 version, so identical configs reproduce identical bytes.  Each
 subcommand reads its settings from the validated dict that the sidecar
 echoes.  Exit codes: 0 success, 2 config or I/O error, 3 numeric guard
-violation, 4 divergence flagged but the data was still written.  ConfigError
-is a ValueError, so config errors and a library ValueError on an input the
-schema let through share one exit-2 handler.
+violation or an allocation refused, 4 divergence flagged but the data was
+still written.  ConfigError is a ValueError, so config errors and a library
+ValueError on an input the schema let through share one exit-2 handler.
 """
 
 import argparse
@@ -22,7 +22,7 @@ from . import __version__, bounds, carleman, classical, engine, streaming
 from .complexity import ComplexityInputs, DISCLAIMER, complexity_rows
 from .complexity import lcu_collision_params, reynolds_quote_report
 from .errors import QalbError, SingularTime, TooLarge
-from .lattice import build_lattice
+from .lattice import _NAMES, build_lattice
 
 F0_PRESETS = {"d1q3-figure": (0.6, 0.1, 0.3)}
 
@@ -96,7 +96,7 @@ def _str(s):
 
 
 def _schemas():
-    lattice_key = ("lattice", _choice("d1q3", "d2q9", "d3q27"), "d1q3")
+    lattice_key = ("lattice", _choice(*map(str.lower, _NAMES)), "d1q3")
     return {
         "classical": dict_schema(
             lattice_key,
@@ -354,8 +354,7 @@ def cmd_carleman(config):
 def _occupied(layout, state):
     """Site, direction code, and raw bits of a one-hot basis state."""
     idx = int(np.argmax(np.abs(state)))
-    nq = layout.total_qubits
-    bits = [(idx >> (nq - 1 - q)) & 1 for q in range(nq)]
+    bits = streaming._bits_of(idx, layout.total_qubits)
     site, code = streaming.decode_site(layout, bits)
     return site, code, "".join(str(b) for b in bits)
 
@@ -574,7 +573,7 @@ def main(argv=None):
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 2
-    except QalbError as exc:
+    except (QalbError, MemoryError) as exc:
         print(f"numeric guard: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

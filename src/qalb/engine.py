@@ -22,13 +22,11 @@ import numpy as np
 
 from . import classical, fock
 from .errors import OutOfRange, TooLarge
-from .linalg import expm, expm_action, onenorm, taylor_degree
+from .linalg import _MAX_DIM, expm, expm_action, onenorm, taylor_degree
 
 CERTIFICATE_MARGIN = 1.01
 
 MODES = ("nonhermitian", "hermitized")
-
-_DIM_LIMIT = 4096
 
 
 def phase_space_divergence(model, tau):
@@ -77,9 +75,9 @@ class CollisionSetup:
 
     def __post_init__(self):
         classical.check_tau(self.tau, self.dt)
-        if self.dim > _DIM_LIMIT:
+        if self.dim > _MAX_DIM:
             raise TooLarge(
-                f"register dimension {self.dim} exceeds {_DIM_LIMIT}; "
+                f"register dimension {self.dim} exceeds {_MAX_DIM}; "
                 f"reduce qubits per mode or the velocity count"
             )
 
@@ -361,7 +359,7 @@ def _by_action(n, steps, norm):
     about 1,000 products with A at n = 4096 and 600 at n = 512 (measured),
     so n / 4 is a conservative share.  Such a march grows the state's
     1-norm by at most e^{steps norm} < e^{n / 22}, as m s >= 5.5 norm, so
-    expm_action never meets a non-finite state at n <= _DIM_LIMIT."""
+    expm_action never meets a non-finite state at n <= _MAX_DIM."""
     m, s = taylor_degree(norm)
     return 4 * steps * m * s < n
 

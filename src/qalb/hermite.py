@@ -174,26 +174,16 @@ def _evaluate(gams, n, x):
 
 
 def _evaluate_with_derivative(gams, n, x):
-    """(P_n, P_n') jointly; the derivative uses the differentiated
-    recurrence P'_{n+1} = P_n + x P'_n - gamma_n P'_{n-1}, never finite
-    differences."""
-    if n > len(gams) + 1:
-        raise ValueError(f"need gamma_1..gamma_{n - 1}, got {len(gams)}")
+    """(P_n, P_n') jointly: P_0..P_n from monic_sequence, and the
+    derivative from the differentiated recurrence
+    P'_{k+1} = P_k + x P'_k - gamma_k P'_{k-1}, never finite differences."""
     x = np.asarray(x, dtype=float)
-    pm = np.ones_like(x)
-    dm = np.zeros_like(x)
-    if n == 0:
-        return pm, dm
-    p = x.copy()
-    d = np.ones_like(x)
+    p = monic_sequence(gams, n, x)
+    d = np.zeros_like(p)
+    d[1:2] = 1.0  # P_1' = 1; no row when n = 0
     for k in range(1, n):
-        pm, p, dm, d = (
-            p,
-            x * p - gams[k - 1] * pm,
-            d,
-            p + x * d - gams[k - 1] * dm,
-        )
-    return p, d
+        d[k + 1] = p[k] + x * d[k] - gams[k - 1] * d[k - 1]
+    return p[n], d[n]
 
 
 def poly_eval(basis, n, x):

@@ -10,6 +10,7 @@ arrays, so the sum rules hold to the last bit.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -19,7 +20,13 @@ CS2 = Fraction(1, 3)
 
 _W1D = {0: Fraction(2, 3), -1: Fraction(1, 6), 1: Fraction(1, 6)}
 
+# the one table of supported lattices: name -> dimension D, with Q = 3^D
 _NAMES = {"D1Q3": 1, "D2Q9": 2, "D3Q27": 3}
+
+
+def _weight(v):
+    """Product of the one-dimensional weights of the components of v."""
+    return prod((_W1D[int(c)] for c in v), start=Fraction(1))
 
 
 @dataclass(frozen=True)
@@ -32,13 +39,7 @@ class Lattice:
     cs2: float
 
     def weight_fractions(self):
-        return tuple(
-            Fraction(
-                np.prod([_W1D[int(c)].numerator for c in v], dtype=object),
-                np.prod([_W1D[int(c)].denominator for c in v], dtype=object),
-            )
-            for v in self.velocities
-        )
+        return tuple(_weight(v) for v in self.velocities)
 
 
 def build_lattice(name):
@@ -48,18 +49,12 @@ def build_lattice(name):
     rest = (0,) * D
     others = sorted(v for v in product((-1, 0, 1), repeat=D) if v != rest)
     vels = [rest] + others
-    weights = []
-    for v in vels:
-        w = Fraction(1)
-        for c in v:
-            w *= _W1D[c]
-        weights.append(w)
     return Lattice(
         name=name,
         D=D,
         Q=len(vels),
         velocities=np.array(vels, dtype=np.int64),
-        weights=np.array([float(w) for w in weights]),
+        weights=np.array([float(_weight(v)) for v in vels]),
         cs2=float(CS2),
     )
 

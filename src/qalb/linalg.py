@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimMismatch, NonFinite, TooLarge
 
-_MAX_DIM = 4096
+_MAX_DIM = 4096  # largest dense matrix, and so engine's largest register
 
 # Largest 1-norm for which the degree-m approximant is accurate to unit
 # roundoff in double precision (Higham 2005, Table 2.3).
@@ -88,7 +88,7 @@ def expm(A):
     A = A.astype(dtype, copy=False)
     if n == 0:
         return A.copy()
-    norm = np.linalg.norm(A, 1)
+    norm = onenorm(A)
     m = next((k for k, theta in _THETA.items() if norm <= theta), 13)
     s = 0
     if norm > _THETA[13]:

@@ -154,19 +154,14 @@ class PauliSum:
     def dump(self):
         """One term per line: coefficient real part, imaginary part,
         letter string."""
-        return "\n".join(
-            f"{c.real:.17g} {c.imag:.17g} {s}" for s, c in self.terms
-        )
+        return "\n".join(w.dump() for w in self.words)
 
 
 def term_stats(ps):
     """(term count, max weight, l1 norm of coefficients)."""
-    count = len(ps.terms)
-    max_weight = max(
-        (sum(1 for ch in s if ch != "I") for s, _ in ps.terms), default=0
-    )
+    max_weight = max((w.weight for w in ps.words), default=0)
     l1 = float(sum(abs(c) for _, c in ps.terms))
-    return count, max_weight, l1
+    return len(ps.terms), max_weight, l1
 
 
 def pauli_to_dense(ps):

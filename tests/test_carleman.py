@@ -208,6 +208,16 @@ def test_closed_d1q3_matches_nonlinear_map():
         assert np.max(np.abs(hist[-1, :3] - f)) < 1e-12
 
 
+def test_closed_d1q3_matches_classical_reference():
+    # tau = 1/omega and dt = 1 make classical.evolve_0d the same relaxation map
+    rng = np.random.default_rng(21)
+    for omega in (0.3, 0.9, 1.0, 1.5, 1.95):
+        f0 = rng.dirichlet(np.ones(3))
+        hist = carleman.clb_closed_d1q3(f0, omega, 200)
+        want = classical.evolve_0d(f0, 1.0 / omega, 1.0, 200)
+        assert np.max(np.abs(hist[:, :3] - want)) < 1e-12
+
+
 def test_closed_d1q3_momentum_invariant():
     hist = carleman.clb_closed_d1q3(np.array([0.6, 0.1, 0.3]), 1.0, 50)
     g0 = (0.3 - 0.1) ** 2

@@ -274,6 +274,10 @@ _BAD_RUNS = (
         ("quantum", ["dt=inf"], "x.csv", "config error:"),
         # eps_N underflows past level 2047
         ("bounds", ["N=2048"], "x.csv", "numeric guard:"),
+        # allocations past the 47-bit address space, refused at once: a
+        # 4 PiB register and a 2.1 PiB history
+        ("streaming-demo", ["sites=70368744177664"], "x.txt", "numeric guard:"),
+        ("classical", ["steps=100000000000000"], "x.csv", "numeric guard:"),
     ]
     + [(cmd, ["bogus=1"], "x.csv", "config error:") for cmd in _COMMANDS]
     + [

@@ -145,6 +145,18 @@ def test_lowering_singular_point(basis):
         hermite.lowering_check(basis, 1, [np.sqrt(x2)])
 
 
+def test_derivative_of_hermite_family():
+    # with gamma_k = k/2 the monic family is H_n / 2^n, so P_n' = n P_{n-1}
+    gams = np.arange(1.0, 13.0) / 2.0
+    xs = np.array([-2.5, -0.7, 0.0, 0.3, 1.9])
+    seq = hermite.monic_sequence(gams, 12, xs)
+    for n in range(13):
+        p, d = hermite._evaluate_with_derivative(gams, n, xs)
+        assert np.array_equal(p, seq[n])
+        want = n * seq[n - 1] if n else np.zeros_like(xs)
+        assert np.max(np.abs(d - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
 def test_differentiated_recurrence(basis):
     xs = np.linspace(-0.9, 0.9, 7)
     for n in (2, 3, 4, 5, 6):
