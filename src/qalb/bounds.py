@@ -20,6 +20,9 @@ Z_CLAMP = 1e12
 
 VARIANTS = ("inflate_c0", "inflate_a")
 
+# How far from zero a discriminant may sit and still count as closed.
+_CLOSED_TOL = 1e-9
+
 
 # The encodable values [-1, 1], endpoints included, on which the defect
 # sup is taken.
@@ -86,12 +89,12 @@ def inflate_a(a, b, c):
     return a + discriminant(a, b, c) / (4.0 * c), b, c
 
 
-def closed_form_constants(a, b, c, tol=1e-9):
+def closed_form_constants(a, b, c):
     """(C1, C0) with a f^2 + b f + c = (C1 f + C0)^2; the discriminant must
     already be closed."""
-    if abs(discriminant(a, b, c)) > tol:
+    if abs(discriminant(a, b, c)) > _CLOSED_TOL:
         raise DiscriminantNotClosed(
-            f"discriminant {discriminant(a, b, c)} exceeds {tol}"
+            f"discriminant {discriminant(a, b, c)} exceeds {_CLOSED_TOL}"
         )
     return sqrt(a), sqrt(c)
 

@@ -392,7 +392,6 @@ def cmd_streaming_demo(config):
         lines.append(f"{k},{site[0]},{bits}")
         if k < steps:
             state = streaming.controlled_stream(state, layout, 0, +1)
-    model2 = build_lattice("D2Q9")
     layout2 = streaming.RegisterLayout(grid_dims=(4, 4))
     lines += [
         "",

@@ -46,10 +46,6 @@ class GroundAmplitudeZero(QalbError):
     """Decoding is undefined: the ground-state amplitude vanishes."""
 
 
-class ConvergenceFailure(QalbError):
-    """Iterative root isolation failed to converge."""
-
-
 class IndexOutOfRange(QalbError):
     """Qubit index outside the register layout."""
 

@@ -4,7 +4,9 @@ One mode is stored on `qubits` qubits, giving levels 0..N with
 N = 2**qubits - 1.  The lowering operator keeps sqrt(n) on the
 superdiagonal (row n-1, column n), so q = (a + a^dag)/sqrt(2) and
 p = i (a^dag - a)/sqrt(2) reproduce the canonical pair up to the single
-truncation defect in the top corner.
+truncation defect in the top corner.  The spectrum of q comes from
+LAPACK's symmetric eigensolver; its eigenvectors have the closed form
+h_n(sqrt(2) lam), which the tests keep as an independent check.
 """
 
 from dataclasses import dataclass
@@ -12,14 +14,7 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import (
-    ConvergenceFailure,
-    DimMismatch,
-    GroundAmplitudeZero,
-    NonFinite,
-    OutOfRange,
-    TooLarge,
-)
+from .errors import DimMismatch, GroundAmplitudeZero, OutOfRange, TooLarge
 from .hermite import normalized_he
 
 _MAX_QUBITS_DENSE = 12
@@ -129,60 +124,11 @@ def zero_vectors(cfg):
     return lo, hi
 
 
-def _count_below(x, N):
-    """Eigenvalues of q strictly below each entry of x, by Sturm negative
-    count.
+def q_eigensystem(cfg):
+    """All eigenpairs of the truncated q: ascending eigenvalues and
+    orthonormal eigenvector columns, from LAPACK's symmetric solver.
 
-    A pivot that lands exactly on zero is perturbed to a tiny negative
-    value before it is counted, so boundary hits (the first midpoint of
-    the symmetric bracket is exactly zero) do not undercount.
+    Column k is h_n(sqrt(2) lam_k) normalized, up to sign: the same
+    normalized Hermite sequence as the value encoding.
     """
-    count = np.zeros(x.shape, dtype=int)
-    d = -x
-    for n in range(N + 1):
-        if n:
-            d = -x - (n / 2.0) / d
-        d[d == 0.0] = -1e-30
-        count += d < 0.0
-    return count
-
-
-def q_eigensystem(cfg, tol=1e-13, max_iter=200):
-    """All eigenpairs of the truncated q, without dense factorizations.
-
-    Eigenvalues come from Sturm bisection on [-sqrt(2N), sqrt(2N)], all
-    at once; the eigenvector of lam has components h_n(sqrt(2) lam), the
-    same normalized Hermite sequence as the value encoding.  Past 9 qubits
-    h_n itself overflows at the outer eigenvalues, and NonFinite is raised.
-    """
-    N = cfg.N
-    bound = sqrt(2.0 * N) if N > 0 else 1.0
-    lo = np.full(N + 1, -bound)
-    hi = np.full(N + 1, bound)
-    for _ in range(max_iter):
-        k = np.flatnonzero(hi - lo > tol)
-        if k.size == 0:
-            break
-        mid = 0.5 * (lo[k] + hi[k])
-        below = _count_below(mid, N) <= k
-        lo[k[below]] = mid[below]
-        hi[k[~below]] = mid[~below]
-    stalled = np.flatnonzero(hi - lo > tol)
-    if stalled.size:
-        j = stalled[0]
-        raise ConvergenceFailure(
-            f"bisection for eigenvalue {j} stalled at width {hi[j] - lo[j]}"
-        )
-    eigvals = 0.5 * (lo + hi)
-    if np.any(np.diff(eigvals) <= 0.0):
-        raise ConvergenceFailure("expected distinct ordered eigenvalues")
-    with np.errstate(over="ignore", invalid="ignore"):
-        vecs = normalized_he(N, sqrt(2.0) * eigvals)
-    if not np.all(np.isfinite(vecs)):
-        raise NonFinite(
-            f"eigenvectors of q overflow float64 on {cfg.qubits} qubits"
-        )
-    # h_n reaches 1.6e214 at 9 qubits, so its square overflows; scaling
-    # each column to unit max keeps the sum of squares finite
-    vecs /= np.max(np.abs(vecs), axis=0)
-    return eigvals, vecs / np.linalg.norm(vecs, axis=0)
+    return np.linalg.eigh(q_matrix(cfg))

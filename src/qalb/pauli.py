@@ -3,15 +3,16 @@
 Letters are written most significant qubit first, so qubit 0 is the
 leftmost letter and carries the highest place value of the level index.
 Sums are kept canonical: terms sorted by letter string, coefficients
-merged, negligible terms dropped.
+merged, negligible terms dropped.  Every one-mode operator is compiled
+the same way: its dense `fock` matrix goes through one dense-to-Pauli
+transform, `PauliSum.from_dense`.
 """
 
 from dataclasses import dataclass
-from itertools import product
-from math import sqrt
 
 import numpy as np
 
+from . import fock
 from .errors import DimMismatch, TooLarge
 
 _MAX_DENSE_QUBITS = 14
@@ -95,6 +96,43 @@ class PauliSum:
     @classmethod
     def from_words(cls, nqubits, words):
         return cls.from_terms(nqubits, [(w.letters, w.coeff) for w in words])
+
+    @classmethod
+    def from_dense(cls, M):
+        """Inverse of `to_dense`: c_P = tr(P M) / 2^k for every word P.
+
+        Written as P = i^|x&z| X^x Z^z (bit j of x and z set where qubit j
+        carries X or Z, both where it carries Y), tr(P M) = i^|x&z|
+        sum_r (-1)^(z.r) M[r, r^x], so one Walsh-Hadamard transform over r
+        of the shifted diagonal M[r, r^x] gives every coefficient sharing
+        that x.
+        """
+        shape = np.shape(M)
+        n = shape[0] if len(shape) == 2 and shape[0] == shape[1] else 0
+        if n < 2 or n & (n - 1):
+            raise DimMismatch(f"expected a 2^k x 2^k matrix, k >= 1: {shape}")
+        k = n.bit_length() - 1
+        if k > _MAX_DENSE_QUBITS:
+            raise TooLarge(
+                f"{k} qubits exceed dense limit {_MAX_DENSE_QUBITS}"
+            )
+        r = np.arange(n)
+        w = np.asarray(M)[r, r ^ r[:, None]]  # w[x, r] = M[r, r^x]
+        h = 1
+        while h < n:  # butterflies on the bit of place value h
+            w = w.reshape(n, -1, 2, h)
+            w = np.stack((w[:, :, 0] + w[:, :, 1], w[:, :, 0] - w[:, :, 1]), 2)
+            h *= 2
+        ones = np.bitwise_count(r[:, None] & r) % 4  # |x&z| mod 4
+        coeff = np.array([1, 1j, -1, -1j])[ones] * w.reshape(n, n) / n
+        places = [n >> (j + 1) for j in range(k)]  # qubit j's place value
+        raw = []
+        for x, z in zip(*np.nonzero(np.abs(coeff) > _DROP_TOL)):
+            letters = "".join(
+                "IZXY"[2 * bool(x & v) + bool(z & v)] for v in places
+            )
+            raw.append((letters, coeff[x, z]))
+        return cls.from_terms(k, raw)
 
     @classmethod
     def zero(cls, nqubits):
@@ -189,67 +227,17 @@ def sigma_minus():
     return PauliSum.from_terms(1, [("X", 0.5), ("Y", -0.5j)])
 
 
-def _fwht(v):
-    v = v.copy()
-    n = len(v)
-    h = 1
-    while h < n:
-        for i in range(0, n, 2 * h):
-            for k in range(i, i + h):
-                x, y = v[k], v[k + h]
-                v[k] = x + y
-                v[k + h] = x - y
-        h *= 2
-    return v
-
-
 def a_pauli(cfg):
-    """Lowering operator as a Pauli sum on cfg.qubits qubits.
-
-    Decrementing the level index clears the last set bit (qubit j) and
-    sets every lower-place bit behind it; the sqrt(n) amplitude depends
-    only on the bits ahead of j, so it enters as a diagonal factor that is
-    expanded exactly over {I, Z} strings by a Walsh-Hadamard transform.
-    """
-    qc = cfg.qubits
-    raw = []
-    for j in range(qc):
-        npts = 2 ** j
-        values = np.array(
-            [
-                sqrt(2.0 ** (qc - 1 - j) + 2.0 ** (qc - j) * idx)
-                for idx in range(npts)
-            ]
-        )
-        coeffs = _fwht(values) / npts
-        tail_options = []
-        tail_options.append((("X", 0.5), ("Y", 0.5j)))  # qubit j: |0><1|
-        for _ in range(j + 1, qc):
-            tail_options.append((("X", 0.5), ("Y", -0.5j)))  # |1><0|
-        for w in range(npts):
-            head = "".join(
-                "Z" if (w >> (j - 1 - k)) & 1 else "I" for k in range(j)
-            )
-            base = coeffs[w]
-            if base == 0.0:
-                continue
-            for picks in product(*tail_options):
-                letters = head + "".join(p[0] for p in picks)
-                coeff = base
-                for p in picks:
-                    coeff *= p[1]
-                raw.append((letters, coeff))
-    return PauliSum.from_terms(qc, raw)
+    """Lowering operator as a Pauli sum on cfg.qubits qubits."""
+    return PauliSum.from_dense(fock.a_matrix(cfg))
 
 
 def q_pauli(cfg):
-    a = a_pauli(cfg)
-    return (a + a.dagger()) * (1.0 / sqrt(2.0))
+    return PauliSum.from_dense(fock.q_matrix(cfg))
 
 
 def p_pauli(cfg):
-    a = a_pauli(cfg)
-    return (a.dagger() - a) * (1j / sqrt(2.0))
+    return PauliSum.from_dense(fock.p_matrix(cfg))
 
 
 def compile_ladder(cfg):
@@ -264,11 +252,5 @@ def compile_qp(cfg):
 
 
 def compile_number(cfg):
-    """Number operator: the level index read off the qubits in place value,
-    n = sum_k 2^(qc-1-k) (I - Z_k)/2."""
-    qc = cfg.qubits
-    raw = [("I" * qc, (2.0 ** qc - 1.0) / 2.0)]
-    for k in range(qc):
-        letters = "".join("Z" if j == k else "I" for j in range(qc))
-        raw.append((letters, -(2.0 ** (qc - 1 - k)) / 2.0))
-    return PauliSum.from_terms(qc, raw)
+    """Number operator: diagonal, so a sum of {I, Z} words."""
+    return PauliSum.from_dense(fock.number_matrix(cfg))

@@ -186,17 +186,16 @@ def axis_block(layout, axis, sign):
     )
 
 
-def stream_circuit(layout, axis=None):
-    """Gate list shifting every axis (or one axis) by its direction code.
+def stream_circuit(layout):
+    """Gate list shifting every axis by its direction code.
 
     Per axis: the increment conditioned on code 11 followed by the
     decrement conditioned on code 01.  The two blocks touch disjoint code
     states and different axes touch disjoint bits, so axis order is
     immaterial.
     """
-    axes = range(layout.ndim) if axis is None else [axis]
     gates = []
-    for d in axes:
+    for d in range(layout.ndim):
         gates.extend(axis_block(layout, d, 1))
         gates.extend(axis_block(layout, d, -1))
     return gates

@@ -1,19 +1,11 @@
 """Truncated oscillator algebra and value encoding."""
 
-import warnings
-
 import numpy as np
 import pytest
 
 from qalb import fock
-from qalb.errors import (
-    ConvergenceFailure,
-    DimMismatch,
-    GroundAmplitudeZero,
-    NonFinite,
-    OutOfRange,
-    TooLarge,
-)
+from qalb.errors import DimMismatch, GroundAmplitudeZero, OutOfRange, TooLarge
+from qalb.hermite import normalized_he
 
 
 def test_config_levels_and_guards():
@@ -121,7 +113,6 @@ def test_encode_value_on_large_registers(qubits):
 
 
 def test_q_eigensystem_matches_dense():
-    # at 9 qubits h_n reaches 1e214 and its square overflows float64
     for qubits in (1, 2, 3, 4, 5, 9):
         cfg = fock.FockConfig(qubits)
         q, _ = fock.position_momentum(cfg)
@@ -136,14 +127,27 @@ def test_q_eigensystem_matches_dense():
             assert np.max(np.abs(r)) < 1e-9
 
 
-def test_q_eigensystem_stall():
-    with pytest.raises(ConvergenceFailure):
-        fock.q_eigensystem(fock.FockConfig(3), tol=1e-30, max_iter=5)
+def _sign_aligned(vecs):
+    """Each column flipped so that its largest-magnitude entry is positive."""
+    top = np.argmax(np.abs(vecs), axis=0)
+    return vecs * np.sign(vecs[top, np.arange(vecs.shape[1])])
 
 
-def test_q_eigensystem_overflow_fails_closed():
-    # at 10 qubits h_n itself overflows at the outer eigenvalues
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NonFinite, match="10 qubits"):
-            fock.q_eigensystem(fock.FockConfig(10))
+@pytest.mark.parametrize("qubits", range(1, 9))
+def test_q_eigenvectors_match_hermite_closed_form(qubits):
+    # column k is h_n(sqrt(2) lam_k) normalized, up to sign; past 8 qubits
+    # h_n's square overflows, so the closed form is checked only up to there
+    cfg = fock.FockConfig(qubits)
+    vals, vecs = fock.q_eigensystem(cfg)
+    ref = normalized_he(cfg.N, np.sqrt(2.0) * vals)
+    ref /= np.linalg.norm(ref, axis=0)
+    assert np.max(np.abs(_sign_aligned(vecs) - _sign_aligned(ref))) <= 1e-12
+
+
+@pytest.mark.parametrize("qubits", range(1, 11))
+def test_q_eigenvectors_orthonormal(qubits):
+    cfg = fock.FockConfig(qubits)
+    vals, vecs = fock.q_eigensystem(cfg)
+    assert np.all(np.diff(vals) > 0.0)
+    assert np.all(np.isfinite(vecs))
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(cfg.levels))) <= 1e-14

@@ -106,3 +106,33 @@ def test_term_budget_qc2():
     assert l1 <= np.sqrt(2.0 * cfg.levels) * cfg.qubits ** 2
     ident = pauli.PauliSum.from_terms(2, [("II", 3.0)])
     assert pauli.term_stats(ident) == (1, 0, 3.0)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_from_dense_round_trip(k):
+    rng = np.random.default_rng(k)
+    shape = (2**k, 2**k)
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    s = pauli.PauliSum.from_dense(m)
+    assert s.nqubits == k
+    assert np.max(np.abs(s.to_dense() - m)) <= 1e-13
+
+
+def test_from_dense_inverts_to_dense():
+    s = pauli.PauliSum.from_terms(2, [("XY", 0.5), ("ZI", -1.0)])
+    assert pauli.PauliSum.from_dense(s.to_dense()).terms == s.terms
+
+
+def test_a_pauli_term_counts():
+    sums = [pauli.a_pauli(fock.FockConfig(q)) for q in range(1, 6)]
+    assert [len(s.terms) for s in sums] == [2, 8, 24, 64, 160]
+
+
+def test_from_dense_guards():
+    for shape in ((2, 4), (3, 3), (6, 6), (1, 1), (4,), (2, 2, 2)):
+        with pytest.raises(DimMismatch):
+            pauli.PauliSum.from_dense(np.zeros(shape))
+    # a zero-strided view: the guard must fire before anything is copied
+    huge = np.broadcast_to(np.zeros(1), (2**15, 2**15))
+    with pytest.raises(TooLarge):
+        pauli.PauliSum.from_dense(huge)

@@ -216,7 +216,8 @@ def _swap_axis0_signs(layout):
         streaming.GateStep(g.target, code_up + g.controls[2:]) for g in down
     ]
     for d in range(1, layout.ndim):
-        gates += _STREAM_CIRCUIT(layout, axis=d)
+        gates += streaming.axis_block(layout, d, 1)
+        gates += streaming.axis_block(layout, d, -1)
     return gates
 
 
