@@ -199,7 +199,6 @@ class LogisticErrorSeries:
     alpha: float
     s: float
     kappa: float  # conjugacy root actually driving the map
-    r: float  # logistic coefficient -2 kappa alpha
     real_kappa: bool
     clamped: bool
 
@@ -244,7 +243,6 @@ def logistic_map_run(params, steps):
         alpha=alpha,
         s=s,
         kappa=kappa,
-        r=r,
         real_kappa=real_kappa,
         clamped=clamped,
     )

@@ -101,7 +101,6 @@ def monomial_basis(nvars, order):
 class CarlemanSystem:
     """Linear truncation dV/dt = C V on monomials of degree 1..order."""
 
-    order: int
     variables: tuple  # exponent tuples indexing rows and columns of C
     C: np.ndarray = field(repr=False)
 
@@ -136,7 +135,7 @@ def logistic_carleman_chain(p, kmax):
         if k < kmax:
             C[k - 1, k] = k * p.b
     variables = tuple((k,) for k in range(1, kmax + 1))
-    return CarlemanSystem(order=kmax, variables=variables, C=C)
+    return CarlemanSystem(variables=variables, C=C)
 
 
 def evolve_system(system, state0, dt, steps, method="exact"):
@@ -235,7 +234,7 @@ def linearize(driving, O_c):
                 col = index.get(target)
                 if col is not None:
                     C[row, col] += e[i] * coeff[i]
-    return CarlemanSystem(order=O_c, variables=tuple(basis), C=C)
+    return CarlemanSystem(variables=tuple(basis), C=C)
 
 
 def bgk_driving(model, tau):

@@ -61,18 +61,14 @@ def _positive_float(s):
     return v
 
 
-def _positive_int(s):
-    v = int(s)
-    if v < 1:
-        raise ValueError(f"must be >= 1, got {v}")
-    return v
+def _int_at_least(lo):
+    def parse(s):
+        v = int(s)
+        if v < lo:
+            raise ValueError(f"must be >= {lo}, got {v}")
+        return v
 
-
-def _nonneg_int(s):
-    v = int(s)
-    if v < 0:
-        raise ValueError(f"must be >= 0, got {v}")
-    return v
+    return parse
 
 
 def _int_list(s):
@@ -91,70 +87,10 @@ def _choice(*options):
     return parse
 
 
-def _str(s):
-    return s
-
-
-def _schemas():
-    lattice_key = ("lattice", _choice(*map(str.lower, _NAMES)), "d1q3")
-    return {
-        "classical": dict_schema(
-            lattice_key,
-            ("tau", _positive_float, 1.0),
-            ("dt", _positive_float, 1e-3),
-            ("steps", _nonneg_int, 50),
-            ("f0", _str, "d1q3-figure"),
-            ("run", _choice("0d", "grid-stream"), "0d"),
-            ("sites", _positive_int, 8),
-        ),
-        "quantum": dict_schema(
-            lattice_key,
-            ("tau", _positive_float, 1.0),
-            ("dt", _positive_float, 1e-3),
-            ("steps", _nonneg_int, 50),
-            ("qc", _int_list, (2,)),
-            ("f0", _str, "d1q3-figure"),
-            ("mode", _choice("hermitized", "nonhermitian", "both"), "both"),
-            ("init", _choice("exact", "translation"), "exact"),
-        ),
-        "carleman": dict_schema(
-            ("a", _positive_float, 1.0),
-            ("b", _positive_float, 1.0),
-            ("f0", _positive_float, 0.01),
-            ("dt", _positive_float, 0.01),
-            ("steps", _nonneg_int, 500),
-            ("orders", _int_list, (1, 2, 3, 4)),
-            ("method", _choice("exact", "euler"), "exact"),
-        ),
-        "streaming-demo": dict_schema(
-            ("sites", _positive_int, 8),
-            ("steps", _nonneg_int, 3),
-            ("marker", _nonneg_int, 5),
-        ),
-        "complexity": dict_schema(
-            ("G", _positive_int, 256),
-            ("D", _positive_int, 2),
-            ("T", _positive_int, 10),
-            ("Q", _positive_int, 9),
-            ("tau", _positive_float, 1.0),
-            ("b", _positive_int, 6),
-            ("N", _positive_int, 3),
-        ),
-        "bounds": dict_schema(
-            ("Q", _positive_int, 3),
-            ("N", _positive_int, 3),
-            ("nmax", _positive_int, 8),
-            ("tau", _positive_float, 1.0),
-            ("dt", _positive_float, 1e-6),
-            ("steps", _nonneg_int, 50),
-        ),
-    }
-
-
 def dict_schema(*entries):
     schema = {
-        "experiment": (_str, None),
-        "out": (_str, None),
+        "experiment": (str, None),
+        "out": (str, None),
     }
     for key, parser, default in entries:
         schema[key] = (parser, default)
@@ -265,10 +201,9 @@ def cmd_classical(config):
         for k in range(steps + 1):
             flat = fld.data.reshape(total, model.Q)
             rho, u = classical.site_moments(flat, model)
-            for s in range(total):
-                rows.append(
-                    [k * dt, s, *flat[s], rho[s], *np.atleast_2d(u)[s]]
-                )
+            rows += np.column_stack(
+                [np.full(total, k * dt), np.arange(total), flat, rho, u]
+            ).tolist()
             if k < steps:
                 fld = classical.step(fld, config["tau"], dt)
     write_csv(config["out"], header, rows)
@@ -286,13 +221,14 @@ def cmd_quantum(config):
         methods = (config["mode"],)
     runs = []
     for qc in config["qc"]:
-        try:
-            setup = engine.make_setup(
-                model, qubits=qc, tau=config["tau"], dt=dt
-            )
-        except TooLarge as exc:
-            raise TooLarge(f"qc={qc}: {exc}")
         for method in methods:
+            # a setup per mode frees its cached build before the next mode's
+            try:
+                setup = engine.make_setup(
+                    model, qubits=qc, tau=config["tau"], dt=dt
+                )
+            except TooLarge as exc:
+                raise TooLarge(f"qc={qc}: {exc}")
             res = engine.evolve_quantum_0d(
                 setup, f0, steps, mode=method, init=config["init"]
             )
@@ -337,17 +273,13 @@ def cmd_carleman(config):
         p, orders, dt, steps, method=config["method"]
     )
     exact = carleman.logistic_exact(p, times)
-    header = ["t", "exact"]
+    header, columns = ["t", "exact"], [times, exact]
     for k in orders:
         header += [f"order{k}_f", f"order{k}_abserr"]
-    rows = []
-    for i, t in enumerate(times):
-        row = [t, exact[i]]
-        for k in orders:
-            row += [curves[k][i], abs(curves[k][i] - exact[i])]
-        rows.append(row)
-    write_csv(config["out"], header, rows)
-    print(f"carleman: wrote {len(rows)} rows to {config['out']}")
+        columns += [curves[k], np.abs(curves[k] - exact)]
+    table = np.column_stack(columns)
+    write_csv(config["out"], header, table.tolist())
+    print(f"carleman: wrote {len(table)} rows to {config['out']}")
     return 0
 
 
@@ -359,17 +291,10 @@ def _occupied(layout, state):
     return site, code, "".join(str(b) for b in bits)
 
 
-_COMPASS = {
-    (0, 0): "C",
-    (1, 0): "E",
-    (-1, 0): "W",
-    (0, 1): "N",
-    (0, -1): "S",
-    (1, 1): "NE",
-    (1, -1): "SE",
-    (-1, 1): "NW",
-    (-1, -1): "SW",
-}
+def _compass(velocity):
+    """N or S from y, then E or W from x; C for rest."""
+    x, y = velocity
+    return ("S", "", "N")[y + 1] + ("W", "", "E")[x + 1] or "C"
 
 
 def cmd_streaming_demo(config):
@@ -382,10 +307,9 @@ def cmd_streaming_demo(config):
         "",
         "gates of one positive shift (X target | controls):",
     ]
-    lines += [
-        "  " + g.dump() for g in streaming.axis_block(layout, 0, +1)
-    ]
-    lines += ["", "marker walk (positive direction code 11):", "step,site,register"]
+    lines += ["  " + g.dump() for g in streaming.axis_block(layout, 0, +1)]
+    lines += ["", "marker walk (positive direction code 11):",
+              "step,site,register"]
     state = streaming.basis_state(layout, (marker,), (1,))
     for k in range(steps + 1):
         site, _, bits = _occupied(layout, state)
@@ -401,16 +325,17 @@ def cmd_streaming_demo(config):
         "direction,start,after_west_shift,after_north_shift",
     ]
     start = (2, 2)
-    for velocity in sorted(_COMPASS, key=lambda v: _COMPASS[v]):
+    velocities = build_lattice("D2Q9").velocities.tolist()
+    for velocity in sorted(velocities, key=_compass):
         s = streaming.basis_state(layout2, start, velocity)
         s1 = streaming.controlled_stream(s, layout2, 0, -1)
         s2 = streaming.controlled_stream(s1, layout2, 1, +1)
         a = _occupied(layout2, s)[0]
         b = _occupied(layout2, s1)[0]
         c = _occupied(layout2, s2)[0]
-        lines.append(f"{_COMPASS[velocity]},{a},{b},{c}".replace(" ", ""))
+        lines.append(f"{_compass(velocity)},{a},{b},{c}".replace(" ", ""))
     mixed = np.zeros(layout2.dim, dtype=complex)
-    for velocity in _COMPASS:
+    for velocity in velocities:
         mixed += streaming.basis_state(layout2, (1, 3), velocity)
     mixed /= 3.0
     nbits = layout2.position_bits[0]
@@ -471,7 +396,7 @@ def cmd_bounds(config):
     print(f"eps_N table (defect sup over [-1, 1]):")
     for n in range(1, config["nmax"] + 1):
         print(f"  N={n}: {table[n - 1]:.6g}")
-    per = {}
+    header, columns = ["t"], [np.arange(steps + 1) * dt]
     for variant in bounds.VARIANTS:
         C0, C1 = bounds.bound_coefficients(config["Q"], variant)
         params = bounds.ErrorBoundParams(
@@ -479,7 +404,8 @@ def cmd_bounds(config):
         )
         series = bounds.logistic_map_run(params, steps)
         feas = bounds.feasibility(C0, C1, dt, tau, eps)
-        per[variant] = series
+        header += [f"{variant}_Z", f"{variant}_eps", f"{variant}_eps_raw"]
+        columns += [series.Z, series.eps, series.eps_raw]
         verdict = "feasible" if feas.feasible else "infeasible"
         print(
             f"{variant}: C0={C0:.6g} C1={C1:.6g} "
@@ -487,28 +413,90 @@ def cmd_bounds(config):
             f"Z0={params.Z0:.6g} {verdict} "
             f"(margins {feas.margin_low:.6g}, {feas.margin_high:.6g})"
         )
-    header = ["t"]
-    for variant in bounds.VARIANTS:
-        header += [f"{variant}_Z", f"{variant}_eps", f"{variant}_eps_raw"]
-    rows = []
-    for k in range(steps + 1):
-        row = [k * dt]
-        for variant in bounds.VARIANTS:
-            s = per[variant]
-            row += [s.Z[k], s.eps[k], s.eps_raw[k]]
-        rows.append(row)
-    write_csv(config["out"], header, rows)
-    print(f"bounds: wrote {len(rows)} rows to {config['out']}")
+    table = np.column_stack(columns)
+    write_csv(config["out"], header, table.tolist())
+    print(f"bounds: wrote {len(table)} rows to {config['out']}")
     return 0
 
 
+_LATTICE = ("lattice", _choice(*map(str.lower, _NAMES)), "d1q3")
+
+# name -> (runner, help, schema entries): the only list of subcommands
 _COMMANDS = {
-    "classical": cmd_classical,
-    "quantum": cmd_quantum,
-    "carleman": cmd_carleman,
-    "streaming-demo": cmd_streaming_demo,
-    "complexity": cmd_complexity,
-    "bounds": cmd_bounds,
+    "classical": (
+        cmd_classical,
+        "relaxation reference series (0d or grid BGK steps)",
+        (
+            _LATTICE,
+            ("tau", _positive_float, 1.0),
+            ("dt", _positive_float, 1e-3),
+            ("steps", _int_at_least(0), 50),
+            ("f0", str, "d1q3-figure"),
+            ("run", _choice("0d", "grid-stream"), "0d"),
+            ("sites", _int_at_least(1), 8),
+        ),
+    ),
+    "quantum": (
+        cmd_quantum,
+        "encoded-register collision runs vs the reference",
+        (
+            _LATTICE,
+            ("tau", _positive_float, 1.0),
+            ("dt", _positive_float, 1e-3),
+            ("steps", _int_at_least(0), 50),
+            ("qc", _int_list, (2,)),
+            ("f0", str, "d1q3-figure"),
+            ("mode", _choice("hermitized", "nonhermitian", "both"), "both"),
+            ("init", _choice("exact", "translation"), "exact"),
+        ),
+    ),
+    "carleman": (
+        cmd_carleman,
+        "logistic truncation error curves",
+        (
+            ("a", _positive_float, 1.0),
+            ("b", _positive_float, 1.0),
+            ("f0", _positive_float, 0.01),
+            ("dt", _positive_float, 0.01),
+            ("steps", _int_at_least(0), 500),
+            ("orders", _int_list, (1, 2, 3, 4)),
+            ("method", _choice("exact", "euler"), "exact"),
+        ),
+    ),
+    "streaming-demo": (
+        cmd_streaming_demo,
+        "shift-circuit dump and basis-walk tables",
+        (
+            ("sites", _int_at_least(1), 8),
+            ("steps", _int_at_least(0), 3),
+            ("marker", _int_at_least(0), 5),
+        ),
+    ),
+    "complexity": (
+        cmd_complexity,
+        "qubit/ancilla/gate table and headline estimates",
+        (
+            ("G", _int_at_least(1), 256),
+            ("D", _int_at_least(1), 2),
+            ("T", _int_at_least(1), 10),
+            ("Q", _int_at_least(1), 9),
+            ("tau", _positive_float, 1.0),
+            ("b", _int_at_least(1), 6),
+            ("N", _int_at_least(1), 3),
+        ),
+    ),
+    "bounds": (
+        cmd_bounds,
+        "defect table, logistic error map, feasibility window",
+        (
+            ("Q", _int_at_least(1), 3),
+            ("N", _int_at_least(1), 3),
+            ("nmax", _int_at_least(1), 8),
+            ("tau", _positive_float, 1.0),
+            ("dt", _positive_float, 1e-6),
+            ("steps", _int_at_least(0), 50),
+        ),
+    ),
 }
 
 
@@ -522,8 +510,8 @@ def _run(args):
             raise ConfigError(f"--set #{i}: expected key=value, got {item!r}")
         key, val = (part.strip() for part in item.split("=", 1))
         raw[key] = (val, f"--set #{i}")
-    schema = _schemas()[args.command]
-    config = build_values(raw, schema, args.command)
+    runner, _, entries = _COMMANDS[args.command]
+    config = build_values(raw, dict_schema(*entries), args.command)
     if config["experiment"] is None:
         config["experiment"] = args.command
     out = args.out or config["out"]
@@ -535,7 +523,7 @@ def _run(args):
     # fail before computing anything when the output cannot be written
     if not os.access(os.path.dirname(out) or ".", os.W_OK):
         raise OSError(f"cannot write to the directory of {out!r}")
-    code = _COMMANDS[args.command](config)
+    code = runner(config)
     write_sidecar(out, args.command, config)
     return code
 
@@ -546,15 +534,7 @@ def main(argv=None):
         description="collision/streaming experiment driver and calculators",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "classical": "relaxation reference series (0d or grid BGK steps)",
-        "quantum": "encoded-register collision runs vs the reference",
-        "carleman": "logistic truncation error curves",
-        "streaming-demo": "shift-circuit dump and basis-walk tables",
-        "complexity": "qubit/ancilla/gate table and headline estimates",
-        "bounds": "defect table, logistic error map, feasibility window",
-    }
-    for name, text in helps.items():
+    for name, (_, text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", default=None, help="key = value file")
         p.add_argument(

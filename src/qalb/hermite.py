@@ -19,6 +19,8 @@ import numpy as np
 from .errors import QuadratureFailure, SingularCoefficient, TooLarge
 
 _MAX_N = 20
+_DPS = 50  # mpmath working digits of the moment quadrature
+_QUAD_TOL = 1e-12  # largest quadrature error estimate accepted
 
 
 @dataclass(frozen=True)
@@ -43,8 +45,8 @@ class TruncatedHermiteBasis:
             raise ValueError("every gamma_n must be positive")
 
 
-def _mp_moments(z, kmax, tol):
-    """m_0..m_kmax as mpf at the caller's working precision."""
+def _mp_moments(z, kmax):
+    """m_0..m_kmax as mpf at the caller's working precision (_DPS)."""
     if z <= 0.0:
         raise ValueError(f"z must be positive, got {z}")
     zz = mpmath.mpf(z)
@@ -55,22 +57,22 @@ def _mp_moments(z, kmax, tol):
             [-zz, 0, zz],
             error=True,
         )
-        if abs(err) > tol:
+        if abs(err) > _QUAD_TOL:
             raise QuadratureFailure(
-                f"moment {k}: quadrature error {err} exceeds {tol}"
+                f"moment {k}: quadrature error {err} exceeds {_QUAD_TOL}"
             )
         out.append(val)
     return out
 
 
-def window_moments(z, kmax, dps=50, tol=1e-12):
+def window_moments(z, kmax):
     """Moments m_k = int_{-z}^{z} x^k e^{-x^2} dx as floats."""
-    with mpmath.workdps(dps):
-        out = _mp_moments(z, kmax, tol)
+    with mpmath.workdps(_DPS):
+        out = _mp_moments(z, kmax)
     return np.array([float(v) for v in out])
 
 
-def gamma_sequence_oracle(z, nmax, dps=50, tol=1e-12):
+def gamma_sequence_oracle(z, nmax):
     """gamma_1..gamma_nmax by brute force: quadrature moments, then
     Gram-Schmidt on the monomials, then norm ratios
     gamma_n = <P_n, P_n> / <P_{n-1}, P_{n-1}>.  The moments stay at the
@@ -79,8 +81,8 @@ def gamma_sequence_oracle(z, nmax, dps=50, tol=1e-12):
         raise ValueError(f"nmax must be >= 1, got {nmax}")
     if nmax > _MAX_N:
         raise TooLarge(f"nmax {nmax} exceeds {_MAX_N}")
-    with mpmath.workdps(dps):
-        moments = _mp_moments(z, 2 * nmax, tol)
+    with mpmath.workdps(_DPS):
+        moments = _mp_moments(z, 2 * nmax)
 
         def inner(p, q):
             acc = mpmath.mpf(0)
@@ -108,9 +110,9 @@ def gamma_sequence_oracle(z, nmax, dps=50, tol=1e-12):
     return np.array(gams)
 
 
-def build_basis(z=1.0, nmax=8, dps=50, tol=1e-12):
+def build_basis(z=1.0, nmax=8):
     """Basis with oracle coefficients; z defaults to the unit window."""
-    gams = gamma_sequence_oracle(z, nmax, dps=dps, tol=tol)
+    gams = gamma_sequence_oracle(z, nmax)
     return TruncatedHermiteBasis(
         z=float(z), gammas=tuple(float(g) for g in gams), nmax=int(nmax)
     )

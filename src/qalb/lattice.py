@@ -61,9 +61,8 @@ def build_lattice(name):
 
 @dataclass(frozen=True)
 class ModeCoupling:
-    """Linear and quadratic collision tensors for a relaxation rate omega."""
+    """Linear and quadratic collision tensors of a lattice."""
 
-    omega: float
     L: np.ndarray  # (Q, Q)
     Qt: np.ndarray  # (Q, Q, Q)
 
@@ -96,4 +95,4 @@ def mode_coupling(model, omega):
     Qtab = np.array([[float(t * v) for v in dots] for t in trace])
     gram = c @ c.T + D  # column index of c_j.c_k in the tables
     L = np.take_along_axis(Ltab, gram, axis=1)
-    return ModeCoupling(omega=float(omega), L=L, Qt=Qtab[:, gram])
+    return ModeCoupling(L=L, Qt=Qtab[:, gram])

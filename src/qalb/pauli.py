@@ -183,9 +183,6 @@ class PauliSum:
             self.nqubits, [(s, c.conjugate()) for s, c in self.terms]
         )
 
-    def canonical(self):
-        return PauliSum.from_terms(self.nqubits, list(self.terms))
-
     def to_dense(self):
         return pauli_to_dense(self)
 

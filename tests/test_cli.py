@@ -83,7 +83,7 @@ def test_classical_run_and_sidecar(tmp_path):
 def test_sidecar_echoes_schema_defaults(tmp_path, command):
     out = tmp_path / f"{command}.out"
     assert cli.main([command, "--out", str(out)]) == 0
-    schema = cli._schemas()[command]
+    schema = cli.dict_schema(*cli._COMMANDS[command][2])
     defaults = {key: default for key, (_, default) in schema.items()}
     defaults.update(out=str(out), experiment=command)
     assert _read(tmp_path / f"{command}.out.meta") == [

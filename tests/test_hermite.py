@@ -72,9 +72,10 @@ def test_recurrence_matches_numpy_hermite_families():
     assert np.array_equal(hermite.hermite_h(12, x[2]), H[:, 2])
 
 
-def test_quadrature_failure_surfaced():
+def test_quadrature_failure_surfaced(monkeypatch):
+    monkeypatch.setattr(hermite, "_DPS", 3)
     with pytest.raises(QuadratureFailure):
-        hermite.gamma_sequence_oracle(1.0, 4, dps=3)
+        hermite.gamma_sequence_oracle(1.0, 4)
 
 
 def test_wide_window_approaches_hermite():

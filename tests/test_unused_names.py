@@ -1,8 +1,9 @@
-"""Source hygiene: no module imports a name it never uses, and no function
-assigns a local it never reads.
+"""Source hygiene: no module imports a name it never uses, no function
+assigns a local it never reads, and no class defines a method, property or
+dataclass field that nothing reads.
 
-A stand-in for a linter's unused-import and unused-variable rules, read
-from each module's syntax tree so it runs without extra packages.
+A stand-in for a linter's unused-import, unused-variable and dead-attribute
+rules, read from each module's syntax tree so it runs without extra packages.
 """
 
 import ast
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-_SRC = Path(__file__).resolve().parents[1] / "src" / "qalb"
+_ROOT = Path(__file__).resolve().parents[1]
+_SRC = _ROOT / "src" / "qalb"
 
 
 def _exported(tree):
@@ -68,12 +70,87 @@ def unused_locals(tree):
     return sorted(found)
 
 
+def _is_dataclass(cls):
+    for dec in cls.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def class_attributes(tree):
+    """(class, name, line) of every method, property and dataclass field
+    defined in a class body; dunder methods are the language's to call."""
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+            elif (
+                _is_dataclass(cls)
+                and isinstance(node, ast.AnnAssign)
+                and isinstance(node.target, ast.Name)
+            ):
+                name = node.target.id
+            else:
+                continue
+            if not (name.startswith("__") and name.endswith("__")):
+                found.append((cls.name, name, node.lineno))
+    return found
+
+
+def attributes_read(tree):
+    """Attribute names loaded anywhere, plus getattr's literal names."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and not isinstance(
+            node.ctx, ast.Store
+        ):
+            read.add(node.attr)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr"
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            read.add(node.args[1].value)
+    return read
+
+
+def unread_attributes(defining, reading):
+    read = set().union(*(attributes_read(tree) for tree in reading))
+    return [
+        f"{cls}.{name} (line {line})"
+        for tree in defining
+        for cls, name, line in class_attributes(tree)
+        if name not in read
+    ]
+
+
 @pytest.mark.parametrize(
     "path", sorted(_SRC.glob("*.py")), ids=lambda p: p.name
 )
 def test_no_unused_names(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert unused_imports(tree) + unused_locals(tree) == []
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_no_unread_attributes():
+    reading = [
+        _parse(path)
+        for top in ("src", "tests", "perfbench")
+        for path in sorted((_ROOT / top).rglob("*.py"))
+        if "_work" not in path.parts
+    ]
+    defining = [_parse(path) for path in sorted(_SRC.glob("*.py"))]
+    assert unread_attributes(defining, reading) == []
 
 
 def test_checks_catch_unused_names():
@@ -94,3 +171,31 @@ def test_checks_catch_unused_names():
         "import NonFinite (line 3)",
     ]
     assert unused_locals(tree) == ["local y in f (line 5)"]
+
+
+def test_check_catches_unread_attributes():
+    defining = ast.parse(
+        "@dataclass(frozen=True)\n"
+        "class Run:\n"
+        "    steps: int\n"
+        "    label: str\n"
+        "    def __post_init__(self):\n"
+        "        pass\n"
+        "    def total(self):\n"
+        "        return self.steps\n"
+        "    @property\n"
+        "    def dead(self):\n"
+        "        return 0\n"
+        "class Plain:\n"
+        "    count: int\n"
+    )
+    reading = ast.parse(
+        "run = Run(steps=3, label='a')\n"
+        "run.total()\n"
+        "run.dead = 1\n"
+        "getattr(run, 'count')\n"
+    )
+    assert unread_attributes([defining], [defining, reading]) == [
+        "Run.label (line 4)",
+        "Run.dead (line 10)",
+    ]
