@@ -284,11 +284,10 @@ def cmd_carleman(config):
 
 
 def _occupied(layout, state):
-    """Site, direction code, and raw bits of a one-hot basis state."""
+    """Site and raw register bits of a one-hot basis state."""
     idx = int(np.argmax(np.abs(state)))
-    bits = streaming._bits_of(idx, layout.total_qubits)
-    site, code = streaming.decode_site(layout, bits)
-    return site, code, "".join(str(b) for b in bits)
+    site, _ = streaming.decode_index(layout, idx)
+    return site, format(idx, f"0{layout.total_qubits}b")
 
 
 def _compass(velocity):
@@ -312,7 +311,7 @@ def cmd_streaming_demo(config):
               "step,site,register"]
     state = streaming.basis_state(layout, (marker,), (1,))
     for k in range(steps + 1):
-        site, _, bits = _occupied(layout, state)
+        site, bits = _occupied(layout, state)
         lines.append(f"{k},{site[0]},{bits}")
         if k < steps:
             state = streaming.controlled_stream(state, layout, 0, +1)

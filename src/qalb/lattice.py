@@ -14,8 +14,6 @@ from math import prod
 
 import numpy as np
 
-from .errors import OmegaOutOfRange
-
 CS2 = Fraction(1, 3)
 
 _W1D = {0: Fraction(2, 3), -1: Fraction(1, 6), 1: Fraction(1, 6)}
@@ -71,7 +69,7 @@ class ModeCoupling:
         return self.L @ f + np.einsum("ijk,j,k->i", self.Qt, f, f)
 
 
-def mode_coupling(model, omega):
+def mode_coupling(model):
     """Build L_ij = w_i (1 + c_i.c_j / cs2) and
     Qt_ijk = w_i (c_i.c_i - D cs2) (c_j.c_k) / (2 cs2^2).
 
@@ -80,8 +78,6 @@ def mode_coupling(model, omega):
     Since sum_j c_j = 0, the rows of L sum to Q w_i, not to one.  Qt is the
     trace closure, equal to the BGK equilibrium only on D1Q3.
     """
-    if not 0.0 < omega < 2.0:
-        raise OmegaOutOfRange(f"omega must lie in (0, 2), got {omega}")
     # entries depend on (j, k) only through the integer c_j.c_k in -D..D,
     # so each (i, c_j.c_k) pair is rounded from its rational exactly once
     wfr = model.weight_fractions()

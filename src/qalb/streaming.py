@@ -1,13 +1,15 @@
 """Streaming as reversible bit arithmetic on position registers.
 
 Each axis carries ceil(log2 N) position bits plus a two-bit direction
-code: 10 stationary, 11 positive, 01 negative, 00 reserved and rejected.
-Motion is a ripple increment or decrement of the position bits,
-conditioned on the axis code, so one gate list shifts every population of
-a power-of-two grid at once and wraps periodically for free.  States live
-on the full register as amplitude vectors; the gates only permute basis
-indices, so applying them is exact index arithmetic, never floating-point
-mixing.
+code, held as an int: 0b10 stationary, 0b11 positive, 0b01 negative, 0b00
+reserved and rejected.  Motion is a ripple increment or decrement of the
+position bits, conditioned on the axis code, so one gate list shifts every
+population of a power-of-two grid at once and wraps periodically for free.
+A register state is one integer basis index, qubit 0 its most significant
+bit; `site_index` and `decode_index` map it to and from (site, velocity).
+States live on the full register as amplitude vectors; the gates only
+permute basis indices, so applying them is exact index arithmetic, never
+floating-point mixing.
 """
 
 from dataclasses import dataclass
@@ -17,12 +19,8 @@ import numpy as np
 
 from .errors import IndexOutOfRange
 
-CODE_STATIONARY = "10"
-CODE_POSITIVE = "11"
-CODE_NEGATIVE = "01"
-CODE_RESERVED = "00"
-
-_COMPONENT_CODE = {0: CODE_STATIONARY, 1: CODE_POSITIVE, -1: CODE_NEGATIVE}
+_COMPONENT_CODE = {0: 0b10, 1: 0b11, -1: 0b01}
+_CODE_COMPONENT = {code: comp for comp, code in _COMPONENT_CODE.items()}
 
 
 def direction_code(component):
@@ -32,38 +30,6 @@ def direction_code(component):
     except KeyError:
         raise ValueError(f"velocity component must be -1, 0, or 1, "
                          f"got {component}") from None
-
-
-def encode_direction(velocity):
-    """Concatenated per-axis codes, axis 0 first."""
-    return "".join(direction_code(c) for c in velocity)
-
-
-def decode_direction(code):
-    """Velocity vector from a concatenated code string."""
-    if len(code) % 2 != 0:
-        raise ValueError(f"code length must be even, got {len(code)}")
-    comps = []
-    for k in range(0, len(code), 2):
-        pair = code[k : k + 2]
-        if pair == CODE_RESERVED:
-            raise ValueError("code 00 is reserved and carries no velocity")
-        for comp, c in _COMPONENT_CODE.items():
-            if c == pair:
-                comps.append(comp)
-                break
-        else:
-            raise ValueError(f"invalid code pair {pair!r}")
-    return tuple(comps)
-
-
-def direction_table(model):
-    """Velocity vector -> per-axis two-bit codes for every direction."""
-    table = {}
-    for i in range(model.Q):
-        v = tuple(int(c) for c in model.velocities[i])
-        table[v] = tuple(direction_code(c) for c in v)
-    return table
 
 
 @dataclass(frozen=True)
@@ -84,10 +50,6 @@ class GateStep:
     def dump(self):
         ctrl = " ".join(f"({q},{s})" for q, s in self.controls)
         return f"X {self.target} | controls: {ctrl}"
-
-
-def dump_circuit(gates):
-    return "\n".join(g.dump() for g in gates)
 
 
 def increment_circuit(nbits, sign, offset=0, extra_controls=()):
@@ -175,9 +137,9 @@ def axis_block(layout, axis, sign):
     """Gates moving one axis by +1 or -1, conditioned on its code."""
     if not 0 <= axis < layout.ndim:
         raise IndexOutOfRange(f"axis {axis} outside {layout.ndim} axes")
-    code = CODE_POSITIVE if sign == 1 else CODE_NEGATIVE
+    code = direction_code(sign)
     base = layout.direction_offsets[axis]
-    controls = tuple((base + k, int(code[k])) for k in range(2))
+    controls = ((base, code >> 1), (base + 1, code & 1))
     return increment_circuit(
         layout.position_bits[axis],
         sign,
@@ -246,68 +208,43 @@ def stream_state(state, layout):
     return apply_circuit(state, layout, stream_circuit(layout))
 
 
-def apply_to_bits(steps, bits):
-    """Run the gate list on a classical bit vector; returns a new list.
-
-    This is the scalar shadow of apply_circuit, handy for exhaustive
-    basis sweeps.
-    """
-    out = list(bits)
-    n = len(out)
-    for g in steps:
-        if not 0 <= g.target < n:
-            raise IndexOutOfRange(f"target {g.target} outside register {n}")
-        fire = True
-        for q, s in g.controls:
-            if not 0 <= q < n:
-                raise IndexOutOfRange(f"control {q} outside register {n}")
-            if out[q] != s:
-                fire = False
-                break
-        if fire:
-            out[g.target] ^= 1
-    return out
-
-
-def _bits_of(x, nbits):
-    return [(x >> (nbits - 1 - k)) & 1 for k in range(nbits)]
-
-
-def _int_of(bits):
-    v = 0
-    for b in bits:
-        v = (v << 1) | b
-    return v
-
-
-def encode_site(layout, site, velocity):
-    """Bit vector of a (site, direction) basis state, payload grounded."""
-    bits = []
-    for d, x in enumerate(site):
-        if not 0 <= x < layout.grid_dims[d]:
+def site_index(layout, site, velocity):
+    """Basis index of a (site, direction) state, payload grounded."""
+    if len(site) != layout.ndim or len(velocity) != layout.ndim:
+        raise ValueError(f"site {site} and velocity {velocity} need "
+                         f"{layout.ndim} components each")
+    index = 0
+    for x, n, nbits in zip(site, layout.grid_dims, layout.position_bits):
+        if not 0 <= x < n:
             raise ValueError(f"site {site} outside grid {layout.grid_dims}")
-        bits.extend(_bits_of(int(x), layout.position_bits[d]))
+        index = (index << nbits) | int(x)
     for c in velocity:
-        bits.extend(int(ch) for ch in direction_code(c))
-    bits.extend([0] * layout.payload_qubits)
-    return bits
+        index = (index << 2) | direction_code(c)
+    return index << layout.payload_qubits
 
 
-def decode_site(layout, bits):
-    """(site, code string) back from a bit vector; payload bits ignored."""
-    site = []
-    k = 0
-    for c in layout.position_bits:
-        site.append(_int_of(bits[k : k + c]))
-        k += c
-    code = "".join(str(b) for b in bits[k : k + 2 * layout.ndim])
-    return tuple(site), code
+def decode_index(layout, index):
+    """(site, velocity) of a basis index; payload bits ignored."""
+    if not 0 <= index < layout.dim:
+        raise ValueError(f"index {index} outside register of {layout.dim}")
+    n = layout.total_qubits
+
+    def field(offset, width):
+        return (index >> (n - offset - width)) & ((1 << width) - 1)
+
+    site = tuple(
+        field(o, w) for o, w in zip(layout.position_offsets, layout.position_bits)
+    )
+    codes = [field(o, 2) for o in layout.direction_offsets]
+    if 0b00 in codes:
+        raise ValueError("code 00 is reserved and carries no velocity")
+    return site, tuple(_CODE_COMPONENT[c] for c in codes)
 
 
 def basis_state(layout, site, velocity):
     """One-hot amplitude vector of a (site, direction) basis state."""
     state = np.zeros(layout.dim, dtype=complex)
-    state[_int_of(encode_site(layout, site, velocity))] = 1.0
+    state[site_index(layout, site, velocity)] = 1.0
     return state
 
 
@@ -344,8 +281,8 @@ def equivalence_check(grid_dims, model):
             want = tuple(
                 (x + c) % n for x, c, n in zip(site, v, layout.grid_dims)
             )
-            start = _int_of(encode_site(layout, site, v))
-            passes += int(src[_int_of(encode_site(layout, want, v))] == start)
+            start = site_index(layout, site, v)
+            passes += int(src[site_index(layout, want, v)] == start)
         per_direction[v] = (len(sites), passes)
     return EquivalenceReport(
         cases=sum(c for c, _ in per_direction.values()),

@@ -214,6 +214,12 @@ def test_streaming_demo(tmp_path, capsys):
     text = out.read_text()
     assert "round-trip" in text and "PASS" in text
     assert "FAIL" not in text
+    rows = text.splitlines()
+    walk = ["0,5,10111", "1,6,11011", "2,7,11111", "3,0,00011"]
+    start = rows.index("step,site,register") + 1
+    assert rows[start : start + 4] == walk
+    assert "NW,(2,2),(1,2),(1,3)" in rows
+    assert "SW,(2,2),(1,2),(1,2)" in rows
 
 
 def test_quantum_flagged_exit_code(tmp_path, monkeypatch):

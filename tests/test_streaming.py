@@ -1,5 +1,7 @@
 """Qubit-register streaming permutations against index arithmetic."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -12,30 +14,29 @@ D3Q27 = lattice.build_lattice("D3Q27")
 
 
 def test_direction_codes():
-    assert streaming.direction_code(0) == "10"
-    assert streaming.direction_code(1) == "11"
-    assert streaming.direction_code(-1) == "01"
+    assert streaming.direction_code(0) == 0b10
+    assert streaming.direction_code(1) == 0b11
+    assert streaming.direction_code(-1) == 0b01
     with pytest.raises(ValueError):
         streaming.direction_code(2)
-    assert streaming.encode_direction((1, -1)) == "1101"
-    assert streaming.decode_direction("1101") == (1, -1)
-    with pytest.raises(ValueError):
-        streaming.decode_direction("00")  # reserved
-    with pytest.raises(ValueError):
-        streaming.decode_direction("110")
-
-
-def test_direction_table():
-    table = streaming.direction_table(D2Q9)
-    assert table[(1, 0)] == ("11", "10")
-    assert table[(-1, -1)] == ("01", "01")
+    table = {
+        tuple(v): tuple(streaming.direction_code(c) for c in v)
+        for v in D2Q9.velocities.tolist()
+    }
+    assert table[(1, 0)] == (0b11, 0b10)
+    assert table[(-1, -1)] == (0b01, 0b01)
     assert len(table) == 9
-    assert "00" not in {c for codes in table.values() for c in codes}
+    assert 0b00 not in {c for codes in table.values() for c in codes}
+    lay = streaming.RegisterLayout((2, 2))
+    assert streaming.site_index(lay, (0, 0), (1, -1)) == 0b00_1101
+    assert streaming.decode_index(lay, 0b00_1101) == ((0, 0), (1, -1))
+    with pytest.raises(ValueError):
+        streaming.decode_index(lay, 0b00_1100)  # reserved
 
 
 def test_gate_step_validation():
     g = streaming.GateStep(target=3, controls=((1, 1), (2, 0)))
-    assert "3" in streaming.dump_circuit([g])
+    assert g.dump() == "X 3 | controls: (1,1) (2,0)"
     with pytest.raises(ValueError):
         streaming.GateStep(target=1, controls=((1, 1),))
     with pytest.raises(ValueError):
@@ -57,17 +58,25 @@ def test_increment_circuit_structure():
         streaming.increment_circuit(3, 2)
 
 
+def _moved(layout, steps, index):
+    """Basis index that a one-hot state at `index` lands on."""
+    state = np.zeros(layout.dim)
+    state[index] = 1.0
+    return int(np.flatnonzero(streaming.apply_circuit(state, layout, steps))[0])
+
+
 def test_increment_wraps():
+    # three position bits, then the two code bits the gates ignore
+    lay = streaming.RegisterLayout((8,))
     gates = streaming.increment_circuit(3, 1)
-    assert streaming.apply_to_bits(gates, [1, 1, 1]) == [0, 0, 0]
-    assert streaming.apply_to_bits(gates, [0, 1, 1]) == [1, 0, 0]
+    assert _moved(lay, gates, 0b111_00) == 0b000_00
+    assert _moved(lay, gates, 0b011_00) == 0b100_00
     down = streaming.increment_circuit(3, -1)
-    assert streaming.apply_to_bits(down, [0, 0, 0]) == [1, 1, 1]
+    assert _moved(lay, down, 0b000_00) == 0b111_00
     for x in range(8):
-        bits = [int(b) for b in format(x, "03b")]
-        up = streaming.apply_to_bits(gates, bits)
-        assert int("".join(map(str, up)), 2) == (x + 1) % 8
-        assert streaming.apply_to_bits(down, up) == bits
+        up = _moved(lay, gates, x << 2)
+        assert up == ((x + 1) % 8) << 2
+        assert _moved(lay, down, up) == x << 2
 
 
 def test_layout_properties():
@@ -100,14 +109,30 @@ def test_axis_block_codes():
 
 
 def test_site_round_trip():
-    lay = streaming.RegisterLayout((8,))
-    for x in range(8):
-        for v in (-1, 0, 1):
-            bits = streaming.encode_site(lay, (x,), (v,))
-            site, code = streaming.decode_site(lay, bits)
-            assert site == (x,) and code == streaming.direction_code(v)
-    with pytest.raises(ValueError):
-        streaming.encode_site(lay, (8,), (0,))
+    for dims, model in [((8,), D1Q3), ((4, 4), D2Q9), ((4, 4, 4), D3Q27)]:
+        lay = streaming.RegisterLayout(dims)
+        seen = set()
+        for site in product(*(range(n) for n in dims)):
+            for v in model.velocities.tolist():
+                index = streaming.site_index(lay, site, v)
+                assert streaming.decode_index(lay, index) == (site, tuple(v))
+                seen.add(index)
+        assert len(seen) == int(np.prod(dims)) * model.Q
+        outside = (dims[0],) + (0,) * (lay.ndim - 1)
+        with pytest.raises(ValueError):
+            streaming.site_index(lay, outside, (0,) * lay.ndim)
+        with pytest.raises(ValueError):
+            streaming.decode_index(lay, lay.dim)
+
+
+def test_site_length_must_match_grid():
+    lay = streaming.RegisterLayout((4, 4))
+    for site, velocity in [((1,), (0,)), ((1, 2, 3), (0, 0, 0)),
+                           ((1, 2), (0,)), ((1,), (0, 0))]:
+        with pytest.raises(ValueError):
+            streaming.site_index(lay, site, velocity)
+        with pytest.raises(ValueError):
+            streaming.basis_state(lay, site, velocity)
 
 
 def test_controlled_stream_moves_only_matching_code():
@@ -130,8 +155,7 @@ def test_stream_state_demo_case():
     state = streaming.basis_state(lay, (1,), (-1,))
     out = streaming.stream_state(state, lay)
     hot = int(np.flatnonzero(out)[0])
-    bits = [(hot >> (lay.total_qubits - 1 - k)) & 1 for k in range(lay.total_qubits)]
-    assert streaming.decode_site(lay, bits) == ((0,), "01")
+    assert streaming.decode_index(lay, hot) == ((0,), (-1,))
 
 
 def test_axis_order_commutes():
@@ -158,12 +182,11 @@ def test_apply_circuit_is_permutation():
 
 def test_payload_rides_along():
     lay = streaming.RegisterLayout((4,), payload_qubits=1)
-    bits = streaming.encode_site(lay, (2,), (1,))
-    bits[lay.payload_offset] = 1
-    moved = streaming.apply_to_bits(streaming.stream_circuit(lay), bits)
-    site, code = streaming.decode_site(lay, moved)
-    assert site == (3,) and code == "11"
-    assert moved[lay.payload_offset] == 1
+    payload = 1 << (lay.total_qubits - 1 - lay.payload_offset)
+    start = streaming.site_index(lay, (2,), (1,)) | payload
+    moved = _moved(lay, streaming.stream_circuit(lay), start)
+    assert streaming.decode_index(lay, moved) == ((3,), (1,))
+    assert moved & payload
 
 
 def test_apply_circuit_guards():
@@ -173,8 +196,9 @@ def test_apply_circuit_guards():
     bad = [streaming.GateStep(target=99, controls=())]
     with pytest.raises(IndexOutOfRange):
         streaming.apply_circuit(np.zeros(lay.dim), lay, bad)
+    bad = [streaming.GateStep(target=0, controls=((99, 1),))]
     with pytest.raises(IndexOutOfRange):
-        streaming.apply_to_bits(bad, [0, 0])
+        streaming.apply_circuit(np.zeros(lay.dim), lay, bad)
 
 
 def test_equivalence_exhaustive_1d():

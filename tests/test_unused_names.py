@@ -1,8 +1,9 @@
 """Source hygiene: no module imports a name it never uses, no function
-assigns a local it never reads, and no class defines a method, property or
-dataclass field that nothing reads.
+assigns a local it never reads, no class defines a method, property or
+dataclass field that nothing reads, and no module defines a top-level
+function, class or constant that nothing references.
 
-A stand-in for a linter's unused-import, unused-variable and dead-attribute
+A stand-in for a linter's unused-import, unused-variable and dead-code
 rules, read from each module's syntax tree so it runs without extra packages.
 """
 
@@ -130,6 +131,48 @@ def unread_attributes(defining, reading):
     ]
 
 
+def module_level_names(tree):
+    """(name, line) of every top-level function, class and assigned
+    constant; dunder names are the language's."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        found += [
+            (name, node.lineno)
+            for name in names
+            if not (name.startswith("__") and name.endswith("__"))
+        ]
+    return found
+
+
+def names_read(tree):
+    """Bare names loaded, plus every attribute name `attributes_read` finds."""
+    read = attributes_read(tree)
+    read.update(
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    )
+    return read
+
+
+def unreferenced_names(defining, reading):
+    read = set().union(*(names_read(tree) for tree in reading))
+    return [
+        f"{module}.{name} (line {line})"
+        for module, tree in defining.items()
+        for name, line in module_level_names(tree)
+        if name not in read
+    ]
+
+
 @pytest.mark.parametrize(
     "path", sorted(_SRC.glob("*.py")), ids=lambda p: p.name
 )
@@ -142,15 +185,23 @@ def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def test_no_unread_attributes():
-    reading = [
+def _reading():
+    return [
         _parse(path)
         for top in ("src", "tests", "perfbench")
         for path in sorted((_ROOT / top).rglob("*.py"))
         if "_work" not in path.parts
     ]
+
+
+def test_no_unread_attributes():
     defining = [_parse(path) for path in sorted(_SRC.glob("*.py"))]
-    assert unread_attributes(defining, reading) == []
+    assert unread_attributes(defining, _reading()) == []
+
+
+def test_no_unreferenced_module_names():
+    defining = {path.stem: _parse(path) for path in sorted(_SRC.glob("*.py"))}
+    assert unreferenced_names(defining, _reading()) == []
 
 
 def test_checks_catch_unused_names():
@@ -198,4 +249,30 @@ def test_check_catches_unread_attributes():
     assert unread_attributes([defining], [defining, reading]) == [
         "Run.label (line 4)",
         "Run.dead (line 10)",
+    ]
+
+
+def test_check_catches_unreferenced_module_names():
+    defining = ast.parse(
+        "LIMIT = 3\n"
+        "_SPARE: int = 4\n"
+        "__version__ = '1'\n"
+        "class Used:\n"
+        "    pass\n"
+        "def helper():\n"
+        "    return LIMIT\n"
+        "def dead():\n"
+        "    return Used()\n"
+        "def called_by_attribute():\n"
+        "    pass\n"
+    )
+    reading = ast.parse(
+        "import mod\n"
+        "mod.helper()\n"
+        "mod.called_by_attribute()\n"
+        "dead = 1\n"
+    )
+    assert unreferenced_names({"mod": defining}, [defining, reading]) == [
+        "mod._SPARE (line 2)",
+        "mod.dead (line 8)",
     ]
