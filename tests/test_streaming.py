@@ -19,6 +19,14 @@ def test_direction_codes():
     assert streaming.direction_code(-1) == 0b01
     with pytest.raises(ValueError):
         streaming.direction_code(2)
+    lay = streaming.RegisterLayout((2, 2))
+    assert streaming.site_index(lay, (0, 0), (1, -1)) == 0b00_1101
+    assert streaming.decode_index(lay, 0b00_1101) == ((0, 0), (1, -1))
+    with pytest.raises(ValueError):
+        streaming.decode_index(lay, 0b00_1100)  # reserved
+
+
+def test_direction_table():
     table = {
         tuple(v): tuple(streaming.direction_code(c) for c in v)
         for v in D2Q9.velocities.tolist()
@@ -27,11 +35,6 @@ def test_direction_codes():
     assert table[(-1, -1)] == (0b01, 0b01)
     assert len(table) == 9
     assert 0b00 not in {c for codes in table.values() for c in codes}
-    lay = streaming.RegisterLayout((2, 2))
-    assert streaming.site_index(lay, (0, 0), (1, -1)) == 0b00_1101
-    assert streaming.decode_index(lay, 0b00_1101) == ((0, 0), (1, -1))
-    with pytest.raises(ValueError):
-        streaming.decode_index(lay, 0b00_1100)  # reserved
 
 
 def test_gate_step_validation():
