@@ -11,12 +11,12 @@ because the momentum enters the equilibrium only through a conserved square.
 """
 
 from dataclasses import dataclass, field
-from math import inf, log
+from math import inf, log1p
 
 import numpy as np
 
 from . import classical
-from .errors import OmegaOutOfRange, SingularTime, TooLarge
+from .errors import NonFinite, OmegaOutOfRange, SingularTime, TooLarge
 from .linalg import expm
 
 _MAX_VARS = 9
@@ -58,11 +58,12 @@ def singular_time(p):
     """
     if p.f0 <= p.K:
         return inf
-    return -log(1.0 - p.K / p.f0) / p.a
+    return -log1p(-p.K / p.f0) / p.a
 
 
 def logistic_exact(p, t):
-    """Closed-form solution f0 e^{-at} / (1 - (f0/K)(1 - e^{-at}))."""
+    """Closed-form solution f0 e^{-at} / (1 - (f0/K)(1 - e^{-at})), with
+    1 - e^{-at} from expm1, so that it tends to f0 / (1 - b f0 t) as a -> 0."""
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0):
         raise ValueError("time must be non-negative")
@@ -74,8 +75,8 @@ def logistic_exact(p, t):
             f"K/(a f0) = {est:.6g}); cannot evaluate at t >= {ts:.6g}",
             t_singular=ts,
         )
-    e = np.exp(-p.a * t_arr)
-    out = p.f0 * e / (1.0 - (p.f0 / p.K) * (1.0 - e))
+    at = p.a * t_arr
+    out = p.f0 * np.exp(-at) / (1.0 + (p.f0 / p.K) * np.expm1(-at))
     return float(out) if np.isscalar(t) else out
 
 
@@ -109,15 +110,18 @@ class CarlemanSystem:
         return len(self.variables[0])
 
     def initial_state(self, f0):
-        """Monomial lift of a point: V_e(0) = prod_i f0_i^e_i."""
+        """Monomial lift of a point: V_e(0) = prod_i f0_i^e_i.  Raises
+        NonFinite when a monomial overflows."""
         f0 = np.atleast_1d(np.asarray(f0, dtype=float))
         if f0.shape != (self.nvars,):
             raise ValueError(
                 f"initial point must have shape ({self.nvars},), got {f0.shape}"
             )
-        return np.array(
-            [np.prod(f0 ** np.array(e)) for e in self.variables], dtype=float
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            lift = np.prod(f0 ** np.array(self.variables), axis=1)
+        if not np.all(np.isfinite(lift)):
+            raise NonFinite(f"monomial lift of {f0} overflows")
+        return lift
 
 
 def logistic_carleman_chain(p, kmax):
@@ -150,19 +154,22 @@ def evolve_system(system, state0, dt, steps, method="exact"):
     n = system.C.shape[0]
     if state.shape != (n,):
         raise ValueError(f"state must have shape ({n},), got {state.shape}")
-    hist = np.empty((steps + 1, n))
-    hist[0] = state
     if method == "exact":
-        P = expm(system.C * dt)
-        for k in range(1, steps + 1):
-            state = P @ state
-            hist[k] = state
+        step = expm(system.C * dt).__matmul__
     elif method == "euler":
-        for k in range(1, steps + 1):
-            state = state + dt * (system.C @ state)
-            hist[k] = state
+        step = lambda v: v + dt * (system.C @ v)
     else:
         raise ValueError(f"unknown method {method!r}")
+    return _orbit(step, state, steps)
+
+
+def _orbit(step, state, steps):
+    """The (steps+1, n) history state, step(state), step(step(state)), ..."""
+    hist = np.empty((steps + 1, state.size))
+    hist[0] = state
+    for k in range(1, steps + 1):
+        state = step(state)
+        hist[k] = state
     return hist
 
 
@@ -177,7 +184,7 @@ def logistic_order_sweep(p, orders, dt, steps, method="exact"):
     curves = {}
     for kmax in orders:
         system = logistic_carleman_chain(p, kmax)
-        state0 = np.array([p.f0 ** k for k in range(1, kmax + 1)])
+        state0 = system.initial_state(p.f0)
         curves[kmax] = evolve_system(system, state0, dt, steps, method)[:, 0]
     return times, curves
 
@@ -282,9 +289,4 @@ def clb_closed_d1q3(f0, omega, steps):
             elif e == (0, 0, 2):  # every quadratic term is a multiple of g
                 A[i, 3] = omega * coef
     state = np.array([f0[0], f0[1], f0[2], (f0[2] - f0[1]) ** 2])
-    hist = np.empty((steps + 1, 4))
-    hist[0] = state
-    for n in range(1, steps + 1):
-        state = A @ state
-        hist[n] = state
-    return hist
+    return _orbit(A.__matmul__, state, steps)

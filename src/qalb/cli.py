@@ -7,9 +7,10 @@ they came from.  Every successful run writes its data file plus a
 version, so identical configs reproduce identical bytes.  Each
 subcommand reads its settings from the validated dict that the sidecar
 echoes.  Exit codes: 0 success, 2 config or I/O error, 3 numeric guard
-violation or an allocation refused, 4 divergence flagged but the data was
-still written.  ConfigError is a ValueError, so config errors and a library
-ValueError on an input the schema let through share one exit-2 handler.
+violation, arithmetic overflow or an allocation refused, 4 divergence
+flagged but the data was still written.  ConfigError is a ValueError, so
+config errors and a library ValueError on an input the schema let through
+share one exit-2 handler.
 """
 
 import argparse
@@ -21,7 +22,7 @@ import numpy as np
 from . import __version__, bounds, carleman, classical, engine, streaming
 from .complexity import ComplexityInputs, DISCLAIMER, complexity_rows
 from .complexity import lcu_collision_params, reynolds_quote_report
-from .errors import QalbError, SingularTime, TooLarge
+from .errors import QalbError, TooLarge
 from .lattice import _NAMES, build_lattice
 
 F0_PRESETS = {"d1q3-figure": (0.6, 0.1, 0.3)}
@@ -260,19 +261,13 @@ def cmd_quantum(config):
 def cmd_carleman(config):
     steps, dt = config["steps"], config["dt"]
     p = carleman.LogisticParams(a=config["a"], b=config["b"], f0=config["f0"])
-    horizon = steps * dt
-    t_sing = carleman.singular_time(p)
-    if t_sing <= horizon:
-        raise SingularTime(
-            f"solution blows up at t = {t_sing:.6g}, inside the horizon "
-            f"{horizon:.6g}; a*t_sing is roughly K/f0 = {p.K / p.f0:.6g}",
-            t_singular=t_sing,
-        )
+    times = np.arange(steps + 1) * dt
+    # raises SingularTime before the sweep when the horizon reaches blow-up
+    exact = carleman.logistic_exact(p, times)
     orders = config["orders"]
-    times, curves = carleman.logistic_order_sweep(
+    _, curves = carleman.logistic_order_sweep(
         p, orders, dt, steps, method=config["method"]
     )
-    exact = carleman.logistic_exact(p, times)
     header, columns = ["t", "exact"], [times, exact]
     for k in orders:
         header += [f"order{k}_f", f"order{k}_abserr"]
@@ -553,6 +548,9 @@ def main(argv=None):
         return 2
     except (QalbError, MemoryError) as exc:
         print(f"numeric guard: {exc}", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:  # an overflow no guard foresaw
+        print(f"numeric guard: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

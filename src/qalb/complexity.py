@@ -36,7 +36,13 @@ class ComplexityInputs:
                 raise ValueError(f"{name} must be positive")
         if self.tau <= 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.Q != 3 ** self.D:
+        if self.G < 2:
+            raise ValueError(
+                f"G must be >= 2 so the position register holds at least "
+                f"one qubit (log2 G), got G={self.G}"
+            )
+        # 3**D > 2**D > Q here, so a huge D is refused before 3**D is formed
+        if self.D > self.Q.bit_length() or self.Q != 3 ** self.D:
             raise ValueError(
                 f"Q must be 3**D for the supported lattices, "
                 f"got Q={self.Q}, D={self.D}"

@@ -15,7 +15,7 @@ P^p q^k, assembled from classical.equilibrium_terms for each population.
 """
 
 from dataclasses import dataclass, field
-from math import exp, sqrt
+from math import exp
 from typing import Optional
 
 import numpy as np
@@ -101,9 +101,8 @@ def make_setup(model, qubits, tau=1.0, dt=1e-3):
 
 def _factors(cfg):
     """One-mode factors P^p q^k keyed by (p, k), p <= 1 and k <= 2, with
-    P = (a^T - a)/sqrt(2) the real matrix of p = iP."""
-    a = fock.a_matrix(cfg)
-    P = (a.T - a) / sqrt(2.0)
+    P = fock.P_matrix the real matrix of p = iP."""
+    P = fock.P_matrix(cfg)
     q = fock.q_matrix(cfg)
     qk = (np.eye(cfg.levels), q, q @ q)
     return {(p, k): P @ qk[k] if p else qk[k] for p in (0, 1) for k in range(3)}
@@ -309,38 +308,26 @@ def _readout_index(setup):
     return np.concatenate(([0], setup.cfg.levels ** np.arange(Q - 1, -1, -1)))
 
 
-def _ratio_decode(amps):
-    """Amplitude ratios against the ground amplitude (first on the last axis)
-    over sqrt(2), NaN where the ground amplitude is exactly zero."""
-    ground = amps[..., :1]
-    vals = np.full(amps[..., 1:].shape, np.nan)
-    np.divide(amps[..., 1:], ground, out=vals, where=ground != 0.0)
-    return vals / sqrt(2.0)
-
-
 def decode_state(setup, psi):
     """Per-mode value readout from the amplitude ratio against the joint
     ground amplitude.  Returns (values, ok): when the ground amplitude is
     exactly zero the values are NaN and ok is False."""
-    return _ratio_decode(psi[_readout_index(setup)]), bool(psi[0] != 0.0)
+    return fock.ratio_decode(psi[_readout_index(setup)]), bool(psi[0] != 0.0)
 
 
 def collision_increments(setup, psi):
     """Decoded rate of change of each population under its own generator
-    term -i p_m Omega_m = P_m Omega_m, read through the derivative of the
-    amplitude ratio."""
-    Q = setup.model.Q
-    dim = setup.cfg.levels
-    if psi[0] == 0.0:
-        return np.full(Q, np.nan)
+    term -i p_m Omega_m = P_m Omega_m: d/dt (psi_s / psi_0), the ratio
+    decode of y_s psi_0 - psi_s y_0 against psi_0^2 with y the term applied
+    to psi.  NaN where the ground amplitude is exactly zero."""
+    index = _readout_index(setup)
     factors = _factors(setup.cfg)
-    rates = np.empty(Q)
-    for m in range(Q):
+    amps = np.empty(index.size)
+    amps[0] = psi[0] ** 2
+    for m, s in enumerate(index[1:]):
         y = _kron_sum(_omega_terms(setup, m, p_mode=m), factors) @ psi
-        stride = dim ** (Q - 1 - m)
-        num = y[stride] * psi[0] - psi[stride] * y[0]
-        rates[m] = num / psi[0] ** 2 / sqrt(2.0)
-    return rates
+        amps[m + 1] = y[s] * psi[0] - psi[s] * y[0]
+    return fock.ratio_decode(amps)
 
 
 def _block_size(n, steps):
@@ -487,7 +474,7 @@ def evolve_quantum_0d(setup, f0, steps, mode="nonhermitian", init="exact"):
     _, bound, cert_flagged = certificate(setup, mode)
     psi = initial_state(setup, f0, init=init)
     amps, norms, finite = _march(setup, mode, psi, steps)
-    decoded = _ratio_decode(amps)
+    decoded = fock.ratio_decode(amps)
     before, after = norms[:-1], norms[1:]
     ratio_bound = bound * CERTIFICATE_MARGIN
     # checks of steps 1.. in priority order: first failing step, then entry

@@ -42,10 +42,6 @@ class OutOfRange(QalbError):
     """Encoded value outside the domain [-1, 1]."""
 
 
-class GroundAmplitudeZero(QalbError):
-    """Decoding is undefined: the ground-state amplitude vanishes."""
-
-
 class IndexOutOfRange(QalbError):
     """Qubit index outside the register layout."""
 

@@ -14,7 +14,7 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import DimMismatch, GroundAmplitudeZero, OutOfRange, TooLarge
+from .errors import DimMismatch, OutOfRange, TooLarge
 from .hermite import normalized_he
 
 _MAX_QUBITS_DENSE = 12
@@ -54,26 +54,19 @@ def number_matrix(cfg):
     return np.diag(np.arange(cfg.levels, dtype=float))
 
 
-def ladder_matrices(cfg):
-    """Dense (a, a^dag) pair on the truncated register."""
-    a = a_matrix(cfg)
-    return a, a.T.copy()
-
-
 def q_matrix(cfg):
     a = a_matrix(cfg)
     return (a + a.T) / sqrt(2.0)
 
 
-def p_matrix(cfg):
+def P_matrix(cfg):
+    """The real matrix P = (a^T - a)/sqrt(2) of p = iP."""
     a = a_matrix(cfg)
-    return 1j * (a.T - a) / sqrt(2.0)
+    return (a.T - a) / sqrt(2.0)
 
 
-def position_momentum(cfg):
-    """Dense (q, p) pair; Hermitian, with the truncation defect confined
-    to the top corner of their commutator."""
-    return q_matrix(cfg), p_matrix(cfg)
+def p_matrix(cfg):
+    return 1j * P_matrix(cfg)
 
 
 def commutator(A, B):
@@ -100,18 +93,17 @@ def encode_value(f, cfg):
     return amp / np.linalg.norm(amp)
 
 
-def decode_value(psi):
-    """Read the value back from the two lowest amplitudes.
-
-    Returns (value, residual): value is Re(psi_1/psi_0)/sqrt(2) and the
-    residual is the imaginary part of the same quotient, which vanishes for
-    exactly encoded states.
+def ratio_decode(amps):
+    """Encoded values read back from amplitude ratios: amps[..., 1:] over
+    the ground amplitude amps[..., :1], over sqrt(2), the inverse of
+    encode_value's psi_1/psi_0 = sqrt(2) f.  NaN where the ground amplitude
+    is exactly zero; complex amplitudes give complex values.
     """
-    psi = np.asarray(psi)
-    if abs(psi[0]) == 0.0:
-        raise GroundAmplitudeZero("ground amplitude is zero; ratio undefined")
-    ratio = complex(psi[1]) / complex(psi[0])
-    return float(ratio.real) / sqrt(2.0), float(ratio.imag) / sqrt(2.0)
+    amps = np.asarray(amps)
+    ground = amps[..., :1]
+    vals = np.full(amps[..., 1:].shape, np.nan, np.result_type(amps, float))
+    np.divide(amps[..., 1:], ground, out=vals, where=ground != 0.0)
+    return vals / sqrt(2.0)
 
 
 def zero_vectors(cfg):

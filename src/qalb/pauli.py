@@ -94,10 +94,6 @@ class PauliSum:
         return cls(nqubits=nqubits, terms=_canonical(nqubits, raw))
 
     @classmethod
-    def from_words(cls, nqubits, words):
-        return cls.from_terms(nqubits, [(w.letters, w.coeff) for w in words])
-
-    @classmethod
     def from_dense(cls, M):
         """Inverse of `to_dense`: c_P = tr(P M) / 2^k for every word P.
 
@@ -235,17 +231,6 @@ def q_pauli(cfg):
 
 def p_pauli(cfg):
     return PauliSum.from_dense(fock.p_matrix(cfg))
-
-
-def compile_ladder(cfg):
-    """(a, a^dag) as canonical Pauli sums."""
-    a = a_pauli(cfg)
-    return a, a.dagger()
-
-
-def compile_qp(cfg):
-    """(q, p) as canonical Pauli sums."""
-    return q_pauli(cfg), p_pauli(cfg)
 
 
 def compile_number(cfg):

@@ -58,7 +58,7 @@ def test_criterion_02_truncated_commutator():
     worst = 0.0
     for qubits in (1, 2, 3):
         cfg = fock.FockConfig(qubits)
-        q, p = fock.position_momentum(cfg)
+        q, p = fock.q_matrix(cfg), fock.p_matrix(cfg)
         want = np.eye(cfg.levels, dtype=complex)
         want[-1, -1] -= cfg.levels
         gap = np.max(np.abs(fock.commutator(q, p) - 1j * want))
@@ -75,10 +75,11 @@ def test_criterion_03_pauli_compilation_fidelity():
     worst = 0.0
     for qubits in (1, 2, 3):
         cfg = fock.FockConfig(qubits)
-        a_s, adag_s = pauli.compile_ladder(cfg)
-        q_s, p_s = pauli.compile_qp(cfg)
+        a_s = pauli.a_pauli(cfg)
+        adag_s = a_s.dagger()
+        q_s, p_s = pauli.q_pauli(cfg), pauli.p_pauli(cfg)
         a = fock.a_matrix(cfg)
-        q, p = fock.position_momentum(cfg)
+        q, p = fock.q_matrix(cfg), fock.p_matrix(cfg)
         for s, dense in (
             (a_s, a),
             (adag_s, a.conj().T),

@@ -1,12 +1,13 @@
 """Monomial-lift linearization and its truncation behaviour."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from qalb import carleman, classical, lattice
-from qalb.errors import OmegaOutOfRange, SingularTime, TooLarge
+from qalb.errors import NonFinite, OmegaOutOfRange, SingularTime, TooLarge
 
 P_SMALL = carleman.LogisticParams(a=1.0, b=1.0, f0=0.01)
 
@@ -49,6 +50,29 @@ def test_logistic_exact_guards():
     with pytest.raises(SingularTime) as info:
         carleman.logistic_exact(p, 1.0)
     assert abs(info.value.t_singular - math.log(2.0)) < 1e-12
+
+
+def test_closed_forms_at_small_a():
+    # as a -> 0 the problem is df/dt = b f^2, with blow-up at 1/(b f0) and
+    # solution f0 / (1 - b f0 t); log1p and expm1 keep both from cancelling
+    p = carleman.LogisticParams(a=1e-300, b=1.0, f0=0.01)
+    assert abs(carleman.singular_time(p) - 100.0) <= 1e-15 * 100.0
+    t = np.array([0.0, 1.0, 10.0, 50.0, 90.0])
+    want = p.f0 / (1.0 - p.b * p.f0 * t)
+    got = carleman.logistic_exact(p, t)
+    assert np.max(np.abs(got - want) / want) <= 1e-15
+
+
+def test_lift_overflow_raises_without_warning():
+    driving = {(1, 0): np.array([-1.0, 0.0]), (0, 2): np.array([0.0, 1.0])}
+    system = carleman.linearize(driving, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite):
+            system.initial_state([1e200, 1e200])
+        chain = carleman.logistic_carleman_chain(P_SMALL, 4)
+        with pytest.raises(NonFinite):
+            chain.initial_state([1e100])
 
 
 def test_chain_matrix_frozen():

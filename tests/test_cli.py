@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +157,25 @@ def test_carleman_run_and_singular_abort(tmp_path):
     assert code2 == 3
 
 
+def test_carleman_small_rate_runs(tmp_path, capsys):
+    # at a = 1e-300 the blow-up time is 1/(b f0) = 100, past the horizon 5
+    out = tmp_path / "k.csv"
+    code = cli.main(["carleman", "--set", "a=1e-300", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    t, exact = np.loadtxt(out, delimiter=",", skiprows=1, usecols=(0, 1)).T
+    assert np.max(np.abs(exact * (1.0 - 0.01 * t) / 0.01 - 1.0)) <= 1e-15
+
+
+def test_lift_overflow_exits_without_warning(tmp_path, capsys):
+    argv = ["carleman", "--set", "b=1e-300", "--set", "f0=1e300"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(argv + ["--out", str(tmp_path / "k.csv")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numeric guard: monomial lift")
+
+
 def test_complexity_run(tmp_path):
     out = tmp_path / "r.csv"
     code = cli.main(["complexity", "--out", str(out)])
@@ -284,6 +304,13 @@ _BAD_RUNS = (
         # 4 PiB register and a 2.1 PiB history
         ("streaming-demo", ["sites=70368744177664"], "x.txt", "numeric guard:"),
         ("classical", ["steps=100000000000000"], "x.csv", "numeric guard:"),
+        # arithmetic overflow: 10.0**b, an int T**5 made a float, f0**k
+        ("complexity", ["b=400"], "x.csv", "numeric guard:"),
+        ("complexity", [f"T={10**80}"], "x.csv", "numeric guard:"),
+        ("carleman", ["b=1e-300", "f0=1e300"], "x.csv", "numeric guard:"),
+        # no position qubit, and a D whose 3**D would never finish
+        ("complexity", ["G=1"], "x.csv", "config error:"),
+        ("complexity", ["D=1000000000"], "x.csv", "config error:"),
     ]
     + [(cmd, ["bogus=1"], "x.csv", "config error:") for cmd in _COMMANDS]
     + [

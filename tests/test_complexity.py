@@ -1,6 +1,7 @@
 """Resource-count formulas and their fixed regression points."""
 
 import math
+import time
 
 import pytest
 
@@ -21,6 +22,13 @@ def test_input_guards():
         _inputs(G=0)
     with pytest.raises(ValueError):
         _inputs(tau=0.0)
+    with pytest.raises(ValueError, match="position register"):
+        _inputs(G=1)  # log2 G = 0 qubits
+    # refused before 3**D is formed, which would not finish
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="3\\*\\*D"):
+        _inputs(D=10**9)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_tier_sums():

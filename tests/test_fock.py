@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qalb import fock
-from qalb.errors import DimMismatch, GroundAmplitudeZero, OutOfRange, TooLarge
+from qalb.errors import DimMismatch, OutOfRange, TooLarge
 from qalb.hermite import normalized_he
 
 
@@ -18,7 +18,8 @@ def test_config_levels_and_guards():
 
 def test_ladder_action():
     cfg = fock.FockConfig(2)
-    a, adag = fock.ladder_matrices(cfg)
+    a = fock.a_matrix(cfg)
+    adag = a.T
     for n in range(1, 4):
         e = np.zeros(4)
         e[n] = 1.0
@@ -40,7 +41,8 @@ def _basis(n, k):
 
 def test_number_operator():
     cfg = fock.FockConfig(3)
-    a, adag = fock.ladder_matrices(cfg)
+    a = fock.a_matrix(cfg)
+    adag = a.T
     n_op = fock.number_matrix(cfg)
     assert np.max(np.abs(n_op - adag @ a)) < 1e-14
     assert np.array_equal(np.diag(n_op), np.arange(8.0))
@@ -50,7 +52,7 @@ def test_commutator_truncation_defect():
     # [q, p] = i (I - (N+1) |N><N|) under truncation
     for qubits in (1, 2, 3):
         cfg = fock.FockConfig(qubits)
-        q, p = fock.position_momentum(cfg)
+        q, p = fock.q_matrix(cfg), fock.p_matrix(cfg)
         assert np.max(np.abs(q - q.conj().T)) < 1e-15
         assert np.max(np.abs(p - p.conj().T)) < 1e-15
         want = np.eye(cfg.levels, dtype=complex)
@@ -71,16 +73,16 @@ def test_encode_ratio_and_roundtrip():
         psi = fock.encode_value(f, cfg)
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-14
         assert abs(psi[1] / psi[0] - np.sqrt(2.0) * f) < 1e-13
-        value, resid = fock.decode_value(psi)
+        (value,) = fock.ratio_decode(psi[:2])
         assert abs(value - f) < 1e-13
-        assert resid == 0.0
+        assert np.imag(value) == 0.0
     with pytest.raises(OutOfRange):
         fock.encode_value(1.5, cfg)
 
 
 def test_encoded_state_is_truncated_eigenstate():
     cfg = fock.FockConfig(3)
-    q, _ = fock.position_momentum(cfg)
+    q = fock.q_matrix(cfg)
     f = 0.42
     psi = fock.encode_value(f, cfg)
     defect = q @ psi - f * psi
@@ -88,8 +90,11 @@ def test_encoded_state_is_truncated_eigenstate():
 
 
 def test_decode_guard():
-    with pytest.raises(GroundAmplitudeZero):
-        fock.decode_value(np.array([0.0, 1.0]))
+    # a zero ground amplitude decodes to NaN, never to a number
+    assert np.isnan(fock.ratio_decode(np.array([0.0, 1.0]))).all()
+    vals = fock.ratio_decode(np.array([[0.0, 1.0, 2.0], [1.0, 0.5, -1.0]]))
+    assert np.isnan(vals[0]).all()
+    assert np.array_equal(vals[1], np.array([0.5, -1.0]) / np.sqrt(2.0))
 
 
 @pytest.mark.parametrize("qubits", [8, 9, 10, 12])
@@ -115,7 +120,7 @@ def test_encode_value_on_large_registers(qubits):
 def test_q_eigensystem_matches_dense():
     for qubits in (1, 2, 3, 4, 5, 9):
         cfg = fock.FockConfig(qubits)
-        q, _ = fock.position_momentum(cfg)
+        q = fock.q_matrix(cfg)
         vals, vecs = fock.q_eigensystem(cfg)
         ref = np.linalg.eigvalsh(q.real)
         assert np.max(np.abs(vals - ref)) < 1e-10

@@ -32,7 +32,7 @@ def test_sum_canonicalization():
     s = pauli.PauliSum.from_terms(2, [("XI", 1.0), ("XI", -1.0), ("ZZ", 0.25)])
     assert s.terms == (("ZZ", (0.25 + 0j)),)
     words = s.words
-    rebuilt = pauli.PauliSum.from_words(2, words)
+    rebuilt = pauli.PauliSum.from_terms(2, [(w.letters, w.coeff) for w in words])
     assert rebuilt == s
     assert s.dump() == "0.25 0 ZZ"
 
@@ -64,7 +64,7 @@ def test_dense_qubit_limit():
 
 def test_single_qubit_position_is_x():
     # a = (X + iY)/2, so q = X/sqrt(2) and p = Y/sqrt(2)
-    q, p = pauli.compile_qp(fock.FockConfig(1))
+    q, p = pauli.q_pauli(fock.FockConfig(1)), pauli.p_pauli(fock.FockConfig(1))
     assert q.terms == (("X", (1.0 / np.sqrt(2.0) + 0j)),)
     assert p.terms == (("Y", (1.0 / np.sqrt(2.0) + 0j)),)
     assert np.max(np.abs(pauli.pauli_to_dense(p) - fock.p_matrix(fock.FockConfig(1)))) < 1e-15
@@ -73,12 +73,13 @@ def test_single_qubit_position_is_x():
 def test_compiled_operators_match_dense():
     for qubits in (1, 2, 3, 4):
         cfg = fock.FockConfig(qubits)
-        a_s, adag_s = pauli.compile_ladder(cfg)
+        a_s = pauli.a_pauli(cfg)
+        adag_s = a_s.dagger()
         assert np.max(np.abs(pauli.pauli_to_dense(a_s) - fock.a_matrix(cfg))) < 1e-12
         adag = fock.a_matrix(cfg).conj().T
         assert np.max(np.abs(pauli.pauli_to_dense(adag_s) - adag)) < 1e-12
-        q_s, p_s = pauli.compile_qp(cfg)
-        q, p = fock.position_momentum(cfg)
+        q_s, p_s = pauli.q_pauli(cfg), pauli.p_pauli(cfg)
+        q, p = fock.q_matrix(cfg), fock.p_matrix(cfg)
         assert np.max(np.abs(pauli.pauli_to_dense(q_s) - q)) < 1e-12
         assert np.max(np.abs(pauli.pauli_to_dense(p_s) - p)) < 1e-12
         n_s = pauli.compile_number(cfg)
@@ -89,7 +90,7 @@ def test_compiled_qp_structure():
     # the matrix of q is real and that of p imaginary, so q words carry an
     # even number of Y letters and p words an odd number, coefficients real
     cfg = fock.FockConfig(3)
-    q_s, p_s = pauli.compile_qp(cfg)
+    q_s, p_s = pauli.q_pauli(cfg), pauli.p_pauli(cfg)
     for w in q_s.words:
         assert w.letters.count("Y") % 2 == 0
         assert abs(complex(w.coeff).imag) < 1e-14
