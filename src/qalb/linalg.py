@@ -191,33 +191,47 @@ def taylor_degree(norm):
     )
 
 
-def expm_action(A, B):
+def expm_action(A, B, norm=None):
     """exp(A) @ B in a new array, for B of shape (n,) or (n, k), without
     forming exp(A).  Neither argument is written.
 
+    A is an (n, n) array, or a function that returns A @ X for an X of B's
+    shape; norm is an upper bound on ||A||_1, computed once by the caller
+    for an operator applied many times.  It is required for a function and
+    is onenorm(A) by default for an array.
+
     Each of s substeps adds terms (A / s)^j F / j! to F for j = 1 .. m,
-    with (m, s) from taylor_degree(||A||_1), and stops once the last two
+    with (m, s) from taylor_degree(norm), and stops once the last two
     terms together are at most u ||F||_inf (Al-Mohy and Higham 2011,
     Algorithm 3.2, without the trace shift or balancing).
     """
-    A = np.asarray(A)
     B = np.asarray(B)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimMismatch(
-            f"expm_action needs a square matrix, got shape {A.shape}"
-        )
-    if B.ndim not in (1, 2) or B.shape[0] != A.shape[0]:
-        raise DimMismatch(
-            f"cannot apply a {A.shape} matrix to an operand of shape {B.shape}"
-        )
-    # a NaN or inf entry makes its column sum, and so the norm, non-finite
-    norm = onenorm(A)
+    if callable(A):
+        if norm is None:
+            raise ValueError("expm_action needs a 1-norm bound for a function")
+        apply, dtype = A, np.result_type(B, np.float64)
+    else:
+        A = np.asarray(A)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise DimMismatch(
+                f"expm_action needs a square matrix, got shape {A.shape}"
+            )
+        if B.ndim not in (1, 2) or B.shape[0] != A.shape[0]:
+            raise DimMismatch(
+                f"cannot apply a {A.shape} matrix to an operand of shape "
+                f"{B.shape}"
+            )
+        # a NaN or inf entry makes its column sum, and so the norm,
+        # non-finite
+        if norm is None:
+            norm = onenorm(A)
+        apply, dtype = A.__matmul__, np.result_type(A, B, np.float64)
     if not np.isfinite(norm) or not np.all(np.isfinite(B)):
         raise NonFinite(
             "matrix or operand contains non-finite entries, or the matrix "
             "1-norm overflows"
         )
-    F = B.astype(np.result_type(A, B, np.float64))
+    F = B.astype(dtype)
     if F.size == 0:
         return F
     m, s = taylor_degree(norm)
@@ -225,7 +239,7 @@ def expm_action(A, B):
     for _ in range(s):
         term, c1 = F, _infnorm(F)
         for j in range(1, m + 1):
-            term = A @ term
+            term = apply(term)
             term *= 1.0 / (s * j)
             c2 = _infnorm(term)
             F += term
@@ -236,6 +250,7 @@ def expm_action(A, B):
 
 
 def _infnorm(X):
-    """||X||_inf of a vector or an (n, k) block: its largest row sum of
-    |X|."""
-    return float(np.max(np.abs(X).reshape(X.shape[0], -1).sum(axis=1)))
+    """||X||_inf of a vector, its largest |entry|, or of an (n, k) block,
+    its largest row sum of |X|."""
+    A = np.abs(X)
+    return float((A if A.ndim == 1 else A.sum(axis=1)).max())

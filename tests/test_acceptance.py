@@ -3,9 +3,10 @@
 Criterion 7 is split over two tests: the columns of the linear block sum
 to 1 and the quadratic block has zero trace over its first index, while
 the rows of the linear block sum to Q w_i (sum_j c_j = 0).  Two more tests
-check the qc=4 propagators and the 2-step qc=4 march, which advances by the
-action of the exponential, against them; they reuse the criterion-5
-fixture, so each dense qc=4 build runs once.
+check the qc=4 propagators and the 2-step qc=4 march, which advances in the
+q-eigenbasis and forms no dense matrix, against them; they reuse the
+criterion-5 setup, so each dense qc=4 propagator is formed once, by the
+first of them.
 """
 
 import time

@@ -156,6 +156,31 @@ def test_collision_increments_match_bgk_rate():
     assert np.max(np.abs(rates - want)) < 1e-12
 
 
+def _dense_increments(setup, psi):
+    # each mode's term as a dense Kronecker sum, applied to psi
+    index = engine._readout_index(setup)
+    factors = engine._factors(setup.cfg)
+    amps = np.empty(index.size)
+    amps[0] = psi[0] ** 2
+    for m, s in enumerate(index[1:]):
+        term = engine._omega_terms(setup, m, p_mode=m)
+        y = engine._kron_sum(term, factors) @ psi
+        amps[m + 1] = y[s] * psi[0] - psi[s] * y[0]
+    return fock.ratio_decode(amps)
+
+
+@pytest.mark.parametrize("qubits", [1, 2, 3, 4])
+def test_collision_increments_in_q_basis(qubits):
+    s = _setup(qubits)
+    psi = engine.initial_state(s, F0, init="exact")
+    rates = engine.collision_increments(s, psi)
+    if qubits < 4:
+        assert np.max(np.abs(rates - _dense_increments(s, psi))) < 1e-12
+    else:
+        want = -(F0 - classical.equilibrium(F0, D1Q3)) / s.tau
+        assert np.max(np.abs(rates - want)) < 1e-12
+
+
 def test_certificate_values():
     # fail-closed: sigma is an upper bound on the dense 2-norm of the oracle
     # propagator, within 1e-6 of it, and the verdict follows from sigma
@@ -391,49 +416,126 @@ def test_block_rule(n, steps, K):
     assert engine._block_size(n, steps) == K
 
 
-# ||dt G||_1 of the D1Q3 non-Hermitian generator by register dimension
-# (qc 1-4); the hermitized ones are smaller and give the same verdicts
-_NORM = {8: 0.004093, 64: 0.054619, 512: 0.238535, 4096: 0.874142}
+@pytest.mark.parametrize(
+    "name,qubits,q_basis",
+    [("D1Q3", 1, False), ("D1Q3", 3, False), ("D2Q9", 1, False),
+     ("D1Q3", 4, True)],
+)
+def test_dimension_rule(name, qubits, q_basis):
+    # registers up to 512 march on the dense propagator; D1Q3 qc=4 (4096)
+    # marches in the q-eigenbasis and never forms it
+    model = lattice.build_lattice(name)
+    s = engine.make_setup(model, qubits)
+    assert (s.dim > engine._DENSE_DIM) == q_basis
+    for mode in engine.MODES:
+        engine.evolve_quantum_0d(s, model.weights, 2, mode)
+        assert (("propagator", mode) in s._cache) != q_basis
+    assert ("q_form" in s._cache) == q_basis
+
+
+@pytest.fixture(scope="module")
+def qc4():
+    """The D1Q3 qc=4 setup (dt = 1e-3), its dense generators and the dense
+    certificate's bound on the largest eigenvalue of the symmetric part of
+    dt G, each built once."""
+    s = _setup(4)
+    G = {mode: engine.generator(s, mode) for mode in engine.MODES}
+    A = s.dt * G["nonhermitian"]
+    return s, G, engine._lambda_max_bound(0.5 * (A + A.T))
+
+
+def _dense_generator(setup, mode, qc4):
+    if setup.cfg.qubits == 4:
+        return qc4[1][mode]
+    return engine.generator(setup, mode)
+
+
+def _from_q_basis(setup, x):
+    # W x with W = V (x) V (x) V, written out for the three D1Q3 modes
+    V, L = engine._q_form(setup).V, setup.cfg.levels
+    X = x.reshape(L, L, L)
+    return np.einsum("ai,bj,ck,ijk->abc", V, V, V, X).reshape(-1)
+
+
+@pytest.mark.parametrize("qubits", [1, 2, 3, 4])
+@pytest.mark.parametrize("mode", engine.MODES)
+def test_q_apply_matches_generator(qubits, mode, qc4):
+    s = qc4[0] if qubits == 4 else _setup(qubits)
+    psi = np.random.default_rng(qubits).standard_normal(s.dim)
+    want = s.dt * (_dense_generator(s, mode, qc4) @ psi)
+    x = engine._to_q_basis(s, psi)
+    assert np.max(np.abs(_from_q_basis(s, x) - psi)) <= 1e-13
+    got = _from_q_basis(s, engine._q_apply(s, mode, x))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _dense_mu(setup, qc4):
+    if setup.cfg.qubits == 4:
+        return qc4[2]
+    A = setup.dt * engine.generator(setup, "nonhermitian")
+    return engine._lambda_max_bound(0.5 * (A + A.T))
+
+
+@pytest.mark.parametrize("qubits", [1, 2, 3, 4])
+def test_q_basis_bounds_bracket_dense_bound(qubits, qc4):
+    s = qc4[0] if qubits == 4 else _setup(qubits)
+    weyl, mu = engine._weyl_bound(s), _dense_mu(s, qc4)
+    low = engine._rayleigh_bound(s)
+    assert weyl >= mu >= low
+    # the Lanczos lower bound converges on the top eigenvalue
+    assert mu - low <= 1e-8 * mu
 
 
 @pytest.mark.parametrize(
-    "n,steps,by_action",
-    [
-        (4096, 2, True),  # m s = 17: 34 products against n / 4 = 1024
-        (4096, 60, True),  # the last step counts on each side of n / 4
-        (4096, 61, False),
-        (512, 10, True),  # m s = 12
-        (512, 11, False),
-        (4096, 1000, False),
-        (512, 1500, False),
-        (64, 1500, False),
-        (8, 40, False),  # the injected-propagator cases stay dense
-    ],
+    "dt,branch",
+    [(1e-4, "weyl"), (2e-4, "dense"), (1e-3, "rayleigh")],
 )
-def test_path_rule(n, steps, by_action):
-    assert engine._by_action(n, steps, _NORM[n]) == by_action
+def test_qc4_certificate_branches(dt, branch, qc4):
+    # D1Q3 qc=4 at tau = 1: the lower bound is about 37.2 dt and the Weyl
+    # bound about 68.4 dt, against a threshold of dt + ln 1.01
+    s = _setup(4, dt=dt)
+    weyl, low = engine._weyl_bound(s), engine._rayleigh_bound(s)
+    assert abs(weyl / dt - 68.4) < 0.1 and abs(low / dt - 37.2) < 0.1
+    sigma, bound, flagged = engine.certificate(s, "nonhermitian")
+    threshold = bound * engine.CERTIFICATE_MARGIN
+    assert (("A", "nonhermitian") in s._cache) == (branch == "dense")
+    if branch != "dense":
+        assert sigma == np.exp(weyl)
+    assert flagged == (branch == "rayleigh")
+    # the dense certificate's verdict on the same step: its bound at
+    # dt = 1e-3 scaled to dt, as S scales with dt
+    assert flagged == (np.exp(qc4[2] * dt / 1e-3) > threshold)
+    assert engine.certificate(s, "hermitized") == (1.0, bound, False)
 
 
-@pytest.mark.parametrize("mode", engine.MODES)
-def test_short_march_takes_the_action_path(monkeypatch, mode):
-    # qc=3 for 2 steps: 2 * 12 products with A against n / 4 = 128, so the
-    # march never forms the dense propagator
-    s = _setup(3)
-
+def test_qc4_march_forms_no_dense_matrix(monkeypatch):
     def refuse(*args):
-        raise AssertionError("dense expm formed on the action path")
+        raise AssertionError("dense matrix formed")
 
-    with monkeypatch.context() as m:
-        m.setattr(engine, "expm", refuse)
-        m.setattr(linalg, "expm", refuse)
-        res = engine.evolve_quantum_0d(s, F0, 2, mode)
-    assert ("propagator", mode) not in s._cache
-    ref = _one_step_result(monkeypatch, s, F0, 2, mode)
-    assert np.max(np.abs(res.decoded - ref.decoded)) <= 1e-13
-    assert np.max(np.abs(res.norms / ref.norms - 1.0)) <= 1e-13
-    assert (res.flagged, res.flag_step, res.flag_reason) == (
-        ref.flagged, ref.flag_step, ref.flag_reason
-    )
+    monkeypatch.setattr(engine, "generator", refuse)
+    monkeypatch.setattr(engine, "expm", refuse)
+    monkeypatch.setattr(linalg, "expm", refuse)
+    s = _setup(4)
+    nh = engine.evolve_quantum_0d(s, F0, 2, "nonhermitian")
+    assert (nh.flag_step, nh.flag_reason) == (0, "operator-norm certificate")
+    h = engine.evolve_quantum_0d(s, F0, 50, "hermitized")
+    assert not h.flagged
+    assert np.max(np.abs(h.norms[1:] / h.norms[:-1] - 1.0)) <= 1e-12
+    assert np.max(h.rel_err) < 1e-5  # 4.4e-6 at step 50
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_q_basis_march_goes_on_past_a_non_finite_state(monkeypatch):
+    # a state that overflows is flagged, and the states after it are NaN
+    # instead of an error from the next expm_action
+    def overflow(apply, x, norm):
+        return np.full_like(x, np.inf)
+
+    monkeypatch.setattr(engine, "expm_action", overflow)
+    res = engine.evolve_quantum_0d(_setup(4), F0, 3, "hermitized")
+    assert (res.flag_step, res.flag_reason) == (1, "non-finite state")
+    assert np.all(np.isnan(res.norms[2:])) and np.all(np.isnan(res.decoded[2:]))
+    assert np.max(np.abs(res.decoded[0] - F0)) < 1e-13
 
 
 def test_relative_error_nan_sentinel():

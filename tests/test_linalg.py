@@ -240,3 +240,24 @@ def test_expm_action_guards():
         linalg.expm_action(bad, np.ones(3))
     with pytest.raises(NonFinite):
         linalg.expm_action(np.eye(3), np.array([1.0, np.nan, 0.0]))
+
+
+def test_expm_action_applies_a_function_under_a_norm_bound():
+    # an operator given by its product and a 1-norm bound: a looser bound
+    # takes more substeps to the same result
+    rng = np.random.default_rng(13)
+    A = _scaled(rng, 30, 3.0, False)
+    B = rng.standard_normal((30, 2))
+    want = scipy.linalg.expm(A) @ B
+    norm = linalg.onenorm(A)
+    for bound in (norm, 4.0 * norm):
+        for operand in (B, B[:, 0]):
+            ref = want if operand.ndim == 2 else want[:, 0]
+            got = linalg.expm_action(lambda X: A @ X, operand, bound)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(want))
+    with pytest.raises(ValueError):
+        linalg.expm_action(lambda X: A @ X, B)
+    with pytest.raises(NonFinite):
+        linalg.expm_action(lambda X: A @ X, B, np.inf)
+    with pytest.raises(NonFinite):
+        linalg.expm_action(lambda X: A @ X, np.full(30, np.nan), norm)
