@@ -17,6 +17,7 @@ import numpy as np
 
 from . import classical
 from .errors import NonFinite, OmegaOutOfRange, SingularTime, TooLarge
+from .lattice import build_lattice
 from .linalg import expm
 
 _MAX_VARS = 9
@@ -277,7 +278,7 @@ def clb_closed_d1q3(f0, omega, steps):
         raise ValueError(f"f0 must have shape (3,), got {f0.shape}")
     if abs(f0.sum() - 1.0) > 1e-9:
         raise ValueError(f"populations must sum to 1, got {f0.sum()!r}")
-    model = classical.model_for_q(3)
+    model = build_lattice("D1Q3")
     A = np.eye(4)
     A[:3, :3] *= 1.0 - omega
     for i in range(3):

@@ -15,14 +15,6 @@ from .hermite import hermite_h
 from .lattice import _NAMES, build_lattice
 
 
-def model_for_q(Q):
-    """The unique supported lattice with Q directions."""
-    for name, D in _NAMES.items():
-        if 3 ** D == Q:
-            return build_lattice(name)
-    raise ValueError(f"no lattice with {Q} directions")
-
-
 def model_for_dim(D):
     """The unique supported lattice in D dimensions."""
     for name, dim in _NAMES.items():
@@ -196,19 +188,17 @@ def step(fld, tau, dt):
     return stream(collide(fld, tau, dt))
 
 
-def evolve_0d(f0, tau, dt, steps):
+def evolve_0d(f0, model, tau, dt, steps):
     """Single-site collisions f <- f - lam (f - feq(f)), lam = dt/tau,
-    in closed form: all states, (steps+1, Q).
+    on the lattice model in closed form: all states, (steps+1, Q).
 
-    The lattice is inferred from the population count.  BGK conserves rho
-    and rho u, so feq(f_t) = feq(f0) at every step and the map is affine:
-    f_t = f0 - lam s_t (f0 - feq(f0)) with s_t = Sum_{k<t} (1 - lam)^k,
-    exact for any lam in (0, 2).  s_1 = 1, so row 1 is one step of the map
-    bit for bit.
+    BGK conserves rho and rho u, so feq(f_t) = feq(f0) at every step and
+    the map is affine: f_t = f0 - lam s_t (f0 - feq(f0)) with
+    s_t = Sum_{k<t} (1 - lam)^k, exact for any lam in (0, 2).  s_1 = 1, so
+    row 1 is one step of the map bit for bit.
     """
     check_tau(tau, dt)
     f = np.asarray(f0, dtype=float)
-    model = model_for_q(f.shape[-1] if f.ndim else 0)
     if f.shape != (model.Q,):
         raise ValueError(f"f0 must have shape ({model.Q},), got {f.shape}")
     hist = np.empty((steps + 1, model.Q))

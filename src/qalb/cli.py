@@ -184,7 +184,7 @@ def cmd_classical(config):
     if config["run"] == "0d":
         header = ["t"] + fcols + ["rho"] + ucols
         f0 = resolve_f0(config["f0"], model)
-        series = classical.evolve_0d(f0, config["tau"], dt, steps)
+        series = classical.evolve_0d(f0, model, config["tau"], dt, steps)
         rho, u = classical.site_moments(series, model)
         table = np.column_stack([np.arange(steps + 1) * dt, series, rho, u])
         rows = table.tolist()

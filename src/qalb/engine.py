@@ -177,33 +177,36 @@ def generator(setup, mode):
 
 
 def _dense(setup, mode):
-    """A = dt G of one collision mode, built once and memoized on the
-    setup: the Fock-basis certificate and propagator both read it."""
-    key = ("A", mode)
-    if key not in setup._cache:
-        setup._cache[key] = setup.dt * generator(setup, mode)
-    return setup._cache[key]
+    """A = dt G of one collision mode, memoized on the setup at
+    n <= _DENSE_DIM, where the certificate and the propagator both read it;
+    above, only the certificate's memoized dense fallback reads it."""
+    A = setup._cache.get(("A", mode))
+    if A is None:
+        A = setup.dt * generator(setup, mode)
+        if setup.dim <= _DENSE_DIM:
+            setup._cache[("A", mode)] = A
+    return A
 
 
 def propagator(setup, mode):
     """One-step propagator expm(dt G) = expm(-i dt H), a real matrix,
-    memoized on the setup.  It is formed only when asked for: the march
-    reads it at n <= _DENSE_DIM, where the certificate is taken first from
-    the same build of A; a larger register marches in the q-eigenbasis and
-    never calls it."""
+    memoized on the setup, for a register of n <= _DENSE_DIM amplitudes;
+    TooLarge above, where the march goes in the q-eigenbasis.  The
+    certificate is taken first, from the same build of A."""
+    if setup.dim > _DENSE_DIM:
+        raise TooLarge(f"no dense propagator above {_DENSE_DIM} amplitudes")
     key = ("propagator", mode)
     if key not in setup._cache:
-        if setup.dim <= _DENSE_DIM:
-            certificate(setup, mode)
+        certificate(setup, mode)
         setup._cache[key] = expm(_dense(setup, mode))
     return setup._cache[key]
 
 
-# Largest register marched and certified on dense Fock-basis matrices; a
-# larger one (D1Q3 qc=4, n = 4096) marches and is certified in the
-# q-eigenbasis.  At n = 512 the dense march is the faster past a few
-# steps: 200 hermitized D1Q3 steps take 0.04 s against 0.07 s, 1500 take
-# 0.06 s against 0.47 s (measured on 2 cores).
+# Largest register with a dense propagator, marched and certified on dense
+# Fock-basis matrices; a larger one (D1Q3 qc=4, n = 4096) goes in the
+# q-eigenbasis.  At n = 512 the dense march is the faster past a few steps:
+# 200 hermitized D1Q3 steps take 0.04 s against 0.07 s, 1500 take 0.06 s
+# against 0.47 s (measured on 2 cores).
 _DENSE_DIM = 512
 
 # The sign b of the part sum_i (P~_i D_i + b D_i P~_i) of dt G~, halved
@@ -697,7 +700,7 @@ def evolve_quantum_0d(setup, f0, steps, mode="nonhermitian", init="exact"):
         flag_step, flag_reason = 0, "operator-norm certificate"
     T = np.arange(steps + 1) if mode == "hermitized" else 0
     norms_corr = norms * dissipation_factor(T, dt, tau, Q, D)
-    cls = classical.evolve_0d(f0, tau, dt, steps)
+    cls = classical.evolve_0d(f0, setup.model, tau, dt, steps)
     errs, _ = relative_error(decoded, cls)
     # fmax skips NaN entries, and an all-NaN row stays NaN without a warning
     rel = np.fmax.reduce(errs, axis=1)

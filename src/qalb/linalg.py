@@ -17,6 +17,8 @@ a library version; accuracy is checked in tests against scipy and via
 exp(A) exp(-A) = I.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import DimMismatch, NonFinite, TooLarge
@@ -52,9 +54,6 @@ _B = {
 # degree 9 it keeps A^6 and A^8 out of memory for the same five products.
 _POWERS = {3: 1, 5: 2, 7: 3, 9: 2, 13: 3}
 
-# Rows per block of a band-limited product.
-_ROWS = 256
-
 # Largest 1-norm of A / s for which the degree-m Taylor series of
 # exp(A / s) b has backward error at most unit roundoff in double precision:
 # m <= 30 from Higham, "Functions of Matrices" (SIAM 2008), Table A.3, and
@@ -74,8 +73,9 @@ _NORM_ROWS = 32
 
 
 def expm(A):
-    """exp(A) in a new array.  A is never written: it is copied only to
-    convert it to float64 or complex128, or to scale it."""
+    """exp(A) in a new array, each product one np.matmul into reused
+    buffers.  A is never written: it is copied only to convert it to
+    float64 or complex128, or to scale it."""
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimMismatch(f"expm needs a square matrix, got shape {A.shape}")
@@ -94,18 +94,14 @@ def expm(A):
     if norm > _THETA[13]:
         s = int(np.ceil(np.log2(norm / _THETA[13])))
         A = A / 2.0 ** s
-    # At most seven full-size buffers (134 MB each at n = 4096), reused.
-    # A^k lies within k times the bandwidth of A, which every product with
-    # a power of A on the left uses.
-    b = _bandwidth(A)
-    powers = [_band_matmul(A, A, b, np.empty_like(A))]
+    # At most seven full-size buffers, reused.
+    powers = [np.matmul(A, A, out=np.empty_like(A))]
     while len(powers) < _POWERS[m]:
-        P = _band_matmul(powers[0], powers[-1], 2 * b, np.empty_like(A))
-        powers.append(P)
+        powers.append(np.matmul(powers[0], powers[-1], out=np.empty_like(A)))
     tmp = np.empty_like(A)
-    V = _pade_sum(powers, _B[m][0::2], b, np.empty_like(A), tmp)
-    W = _pade_sum(powers, _B[m][1::2], b, np.empty_like(A), tmp)
-    U = _band_matmul(A, W, b, tmp)
+    V = _pade_sum(powers, _B[m][0::2], np.empty_like(A), tmp)
+    W = _pade_sum(powers, _B[m][1::2], np.empty_like(A), tmp)
+    U = np.matmul(A, W, out=tmp)
     VmU = np.subtract(V, U, out=powers[0])
     V += U
     del powers, W, U, tmp  # the solve allocates three more full-size arrays
@@ -116,44 +112,16 @@ def expm(A):
     return R
 
 
-def _bandwidth(A):
-    """Smallest b with A[i, j] == 0 wherever |i - j| > b (0 for a zero
-    matrix)."""
-    mask = A != 0
-    rows = np.flatnonzero(mask.any(axis=1))
-    if rows.size == 0:
-        return 0
-    n = A.shape[1]
-    first = mask[rows].argmax(axis=1)
-    last = n - 1 - mask[rows, ::-1].argmax(axis=1)
-    return int(max(np.max(rows - first), np.max(last - rows)))
-
-
-def _band_matmul(L, R, b, out):
-    """L @ R into out, for L zero outside |i - j| <= b.  Each block of
-    _ROWS rows of L multiplies only the rows of R that its band reaches;
-    when that window would span R anyway, the one block is all of L and
-    this is a single np.matmul."""
-    n = L.shape[0]
-    step = _ROWS if 2 * b + _ROWS < n else n
-    for r0 in range(0, n, step):
-        r1 = min(r0 + step, n)
-        c0, c1 = max(r0 - b, 0), min(r1 + b, n)
-        np.matmul(L[r0:r1, c0:c1], R[c0:c1], out=out[r0:r1])
-    return out
-
-
-def _pade_sum(powers, c, b, out, tmp):
-    """sum_j c[j] A^(2j) into out, from powers = [A^2, .., A^(2k)] of an A
-    with bandwidth b, using tmp as scratch.  Terms past A^(2k) are grouped
-    as A^(2k) (c[k+1] A^2 + c[k+2] A^4 + ...), so no higher power is
-    formed."""
+def _pade_sum(powers, c, out, tmp):
+    """sum_j c[j] A^(2j) into out, from powers = [A^2, .., A^(2k)], using
+    tmp as scratch.  Terms past A^(2k) are grouped as
+    A^(2k) (c[k+1] A^2 + c[k+2] A^4 + ...), so no higher power is formed."""
     k = len(powers)
     if len(c) > k + 1:
         np.multiply(powers[0], c[k + 1], out=tmp)
         for P, ck in zip(powers[1:], c[k + 2 :]):
             tmp += np.multiply(P, ck, out=out)
-        _band_matmul(powers[-1], tmp, 2 * k * b, out)
+        np.matmul(powers[-1], tmp, out=out)
         out += np.multiply(powers[0], c[1], out=tmp)
     else:
         np.multiply(powers[0], c[1], out=out)
@@ -178,11 +146,12 @@ def onenorm(A):
     return float(np.max(cols))
 
 
+@lru_cache
 def taylor_degree(norm):
     """(m, s) for the action of exp(A) with ||A||_1 = norm: the degree m of
     _THETA_TAYLOR and s = ceil(norm / theta_m) substeps that together take
     the fewest products with A, m s; the smaller m on a tie.  (0, 1) at
-    norm 0, where exp(A) = I."""
+    norm 0, where exp(A) = I.  Memoized: a march passes one norm per step."""
     if norm == 0.0:
         return 0, 1
     return min(

@@ -238,7 +238,9 @@ def test_closed_d1q3_matches_classical_reference():
     for omega in (0.3, 0.9, 1.0, 1.5, 1.95):
         f0 = rng.dirichlet(np.ones(3))
         hist = carleman.clb_closed_d1q3(f0, omega, 200)
-        want = classical.evolve_0d(f0, 1.0 / omega, 1.0, 200)
+        want = classical.evolve_0d(
+            f0, lattice.build_lattice("D1Q3"), 1.0 / omega, 1.0, 200
+        )
         assert np.max(np.abs(hist[:, :3] - want)) < 1e-12
 
 

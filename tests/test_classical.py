@@ -51,10 +51,7 @@ def test_site_moments_guards():
 
 
 def test_model_lookup():
-    assert classical.model_for_q(27).name == "D3Q27"
     assert classical.model_for_dim(2).name == "D2Q9"
-    with pytest.raises(ValueError):
-        classical.model_for_q(5)
     with pytest.raises(ValueError):
         classical.model_for_dim(4)
 
@@ -176,7 +173,7 @@ def test_step_guards():
 
 def test_evolve_0d_shape_and_first_step():
     f0 = np.array([0.6, 0.1, 0.3])
-    hist = classical.evolve_0d(f0, 1.0, 0.1, 20)
+    hist = classical.evolve_0d(f0, D1Q3, 1.0, 0.1, 20)
     assert hist.shape == (21, 3)
     expected = f0 - 0.1 * (f0 - classical.equilibrium(f0, D1Q3))
     assert np.array_equal(hist[1], expected)
@@ -184,7 +181,7 @@ def test_evolve_0d_shape_and_first_step():
 
 def test_evolve_0d_relaxes_to_equilibrium():
     f0 = np.array([0.6, 0.1, 0.3])
-    hist = classical.evolve_0d(f0, 1.0, 0.1, 300)
+    hist = classical.evolve_0d(f0, D1Q3, 1.0, 0.1, 300)
     gap0 = np.max(np.abs(hist[0] - classical.equilibrium(hist[0], D1Q3)))
     gap = np.max(np.abs(hist[-1] - classical.equilibrium(hist[-1], D1Q3)))
     assert gap < 1e-12 < gap0
@@ -193,9 +190,9 @@ def test_evolve_0d_relaxes_to_equilibrium():
 
 def test_evolve_0d_guards():
     with pytest.raises(ValueError):
-        classical.evolve_0d(np.ones(5), 1.0, 0.1, 3)
+        classical.evolve_0d(np.ones(5), D1Q3, 1.0, 0.1, 3)
     with pytest.raises(TauTooSmall):
-        classical.evolve_0d(np.ones(3) / 3.0, 0.04, 0.1, 3)
+        classical.evolve_0d(np.ones(3) / 3.0, D1Q3, 0.04, 0.1, 3)
 
 
 def _relaxation_40_digits(f0, lam, model, ts):
@@ -223,7 +220,7 @@ def _relaxation_40_digits(f0, lam, model, ts):
 def test_evolve_0d_matches_relaxation_at_40_digits(name, lam):
     model = lattice.build_lattice(name)
     f0 = np.random.default_rng(model.Q).dirichlet(np.ones(model.Q))
-    hist = classical.evolve_0d(f0, 1.0, lam, 300)
+    hist = classical.evolve_0d(f0, model, 1.0, lam, 300)
     ts = list(range(0, 301, 7)) + [300]
     ref = _relaxation_40_digits(f0, lam, model, ts)
     assert np.max(np.abs(hist[ts] - ref)) < 2e-15
@@ -231,7 +228,7 @@ def test_evolve_0d_matches_relaxation_at_40_digits(name, lam):
 
 def test_evolve_0d_long_run_at_40_digits():
     f0 = np.array([0.6, 0.1, 0.3])
-    hist = classical.evolve_0d(f0, 1.0, 1e-3, 100_000)
+    hist = classical.evolve_0d(f0, D1Q3, 1.0, 1e-3, 100_000)
     ts = list(range(0, 100_001, 997)) + [100_000]
     ref = _relaxation_40_digits(f0, 1e-3, D1Q3, ts)
     assert np.max(np.abs(hist[ts] - ref)) < 5e-15
@@ -240,7 +237,7 @@ def test_evolve_0d_long_run_at_40_digits():
 @pytest.mark.parametrize("lam", [1e-3, 0.5, 1.5, 1.9])
 def test_evolve_0d_matches_iterated_map(lam):
     f = np.random.default_rng(4).dirichlet(np.ones(9))
-    hist = classical.evolve_0d(f, 1.0, lam, 200)
+    hist = classical.evolve_0d(f, D2Q9, 1.0, lam, 200)
     for t in range(1, 201):
         f = f - lam * (f - classical.equilibrium(f, D2Q9))
         assert np.max(np.abs(hist[t] - f)) < 5e-14
@@ -256,17 +253,17 @@ def test_evolve_0d_evaluates_equilibrium_once(monkeypatch):
 
     monkeypatch.setattr(classical, "equilibrium", counted)
     f0 = np.array([0.6, 0.1, 0.3])
-    classical.evolve_0d(f0, 1.0, 0.1, 0)
+    classical.evolve_0d(f0, D1Q3, 1.0, 0.1, 0)
     assert len(calls) == 0
-    classical.evolve_0d(f0, 1.0, 0.1, 50)
+    classical.evolve_0d(f0, D1Q3, 1.0, 0.1, 50)
     assert len(calls) <= 1
 
 
 def test_evolve_0d_density_guard_starts_at_step_one():
     f0 = np.array([0.2, -0.5, 0.1])  # rho = -0.2
-    assert np.array_equal(classical.evolve_0d(f0, 1.0, 0.1, 0), [f0])
+    assert np.array_equal(classical.evolve_0d(f0, D1Q3, 1.0, 0.1, 0), [f0])
     with pytest.raises(ZeroDensity):
-        classical.evolve_0d(f0, 1.0, 0.1, 1)
+        classical.evolve_0d(f0, D1Q3, 1.0, 0.1, 1)
 
 
 def test_hermite_bracket_matches_quadratic_equilibrium():

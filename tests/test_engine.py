@@ -116,7 +116,7 @@ def test_real_march_matches_complex_oracle(qubits, mode):
     for t in range(steps + 1):
         decoded[t] = (psi[strides] / psi[0]).real / np.sqrt(2.0)
         psi = U @ psi
-    ref = classical.evolve_0d(F0, s.tau, s.dt, steps)
+    ref = classical.evolve_0d(F0, D1Q3, s.tau, s.dt, steps)
     rel_err = np.max(np.abs(decoded - ref) / np.abs(ref), axis=1)
     assert np.max(np.abs(res.decoded - decoded)) <= 1e-12
     assert np.max(np.abs(res.rel_err - rel_err)) <= 1e-12
@@ -322,7 +322,8 @@ def test_nonhermitian_short_run_tracks_reference():
     assert not res.flagged
     assert np.max(np.abs(res.decoded[0] - F0)) < 1e-13
     assert 0.05 < res.rel_err[-1] < 0.25  # frozen band around 0.17
-    assert np.max(np.abs(res.classical - classical.evolve_0d(F0, 1.0, 1e-3, 50))) == 0.0
+    want = classical.evolve_0d(F0, D1Q3, 1.0, 1e-3, 50)
+    assert np.max(np.abs(res.classical - want)) == 0.0
 
 
 def test_hermitized_preserves_norm_and_mass():
@@ -423,13 +424,16 @@ def test_block_rule(n, steps, K):
 )
 def test_dimension_rule(name, qubits, q_basis):
     # registers up to 512 march on the dense propagator; D1Q3 qc=4 (4096)
-    # marches in the q-eigenbasis and never forms it
+    # marches in the q-eigenbasis, and asking it for a propagator raises
     model = lattice.build_lattice(name)
     s = engine.make_setup(model, qubits)
     assert (s.dim > engine._DENSE_DIM) == q_basis
     for mode in engine.MODES:
         engine.evolve_quantum_0d(s, model.weights, 2, mode)
         assert (("propagator", mode) in s._cache) != q_basis
+        if q_basis:
+            with pytest.raises(TooLarge):
+                engine.propagator(s, mode)
     assert ("q_form" in s._cache) == q_basis
 
 
@@ -490,15 +494,26 @@ def test_q_basis_bounds_bracket_dense_bound(qubits, qc4):
     "dt,branch",
     [(1e-4, "weyl"), (2e-4, "dense"), (1e-3, "rayleigh")],
 )
-def test_qc4_certificate_branches(dt, branch, qc4):
+def test_qc4_certificate_branches(monkeypatch, dt, branch, qc4):
     # D1Q3 qc=4 at tau = 1: the lower bound is about 37.2 dt and the Weyl
     # bound about 68.4 dt, against a threshold of dt + ln 1.01
+    calls = []
+    real = engine.generator
+
+    def counting(setup, mode):
+        calls.append(mode)
+        return real(setup, mode)
+
+    monkeypatch.setattr(engine, "generator", counting)
     s = _setup(4, dt=dt)
     weyl, low = engine._weyl_bound(s), engine._rayleigh_bound(s)
     assert abs(weyl / dt - 68.4) < 0.1 and abs(low / dt - 37.2) < 0.1
     sigma, bound, flagged = engine.certificate(s, "nonhermitian")
     threshold = bound * engine.CERTIFICATE_MARGIN
-    assert (("A", "nonhermitian") in s._cache) == (branch == "dense")
+    # only the dense fallback builds A, and it does not keep it: its
+    # certificate is memoized
+    assert calls == (["nonhermitian"] if branch == "dense" else [])
+    assert ("A", "nonhermitian") not in s._cache
     if branch != "dense":
         assert sigma == np.exp(weyl)
     assert flagged == (branch == "rayleigh")
