@@ -248,16 +248,15 @@ def linearize(driving, O_c):
 def bgk_driving(model, tau):
     """Homogenized BGK rate -(1/tau)(f - feq(f)) as a driving dict.
 
-    feq is classical.equilibrium_terms at rho = sum_j f_j (He and Luo's
-    incompressible form): its constant w_i joins every degree-1 term.
+    classical.bgk_rate at rho = sum_j f_j (He and Luo's incompressible
+    form): its constant w/tau joins every degree-1 term, which leaves the
+    rate unchanged on the simplex sum_j f_j = 1.
     """
-    Q = model.Q
-    units = [tuple(int(j == k) for k in range(Q)) for j in range(Q)]
-    driving = {e: -np.eye(Q)[j] / tau for j, e in enumerate(units)}
-    for i in range(Q):
-        for e, coef in classical.equilibrium_terms(model, i).items():
-            for m in units if sum(e) == 0 else (e,):
-                driving.setdefault(m, np.zeros(Q))[i] += coef / tau
+    driving = classical.bgk_rate(model, tau)
+    const = driving.pop((0,) * model.Q)
+    for e, coef in driving.items():
+        if sum(e) == 1:
+            coef += const
     return driving
 
 
@@ -267,9 +266,12 @@ def clb_closed_d1q3(f0, omega, steps):
     State (f_rest, f_minus, f_plus, g) with g = (f_plus - f_minus)^2.  The
     momentum is a fixed point of the relaxation, so g never changes and
     the quadratic equilibrium becomes linear in the extended state; one
-    linear map reproduces the nonlinear per-step dynamics exactly.  The map
-    rows come from classical.equilibrium_terms, whose constants are
-    homogenized through the density, hence the unit-mass precondition.
+    linear map reproduces the nonlinear per-step dynamics exactly.  The
+    step f + omega (feq - f) is f + omega r(f) with r = bgk_driving at
+    tau = 1, whose constants are homogenized through the density, hence the
+    unit-mass precondition: column j of the map adds omega r[e_j], and the
+    g column is omega r[(0, 0, 2)], since every quadratic term on D1Q3 is a
+    multiple of g.
     """
     if not 0.0 < omega < 2.0:
         raise OmegaOutOfRange(f"omega must lie in (0, 2), got {omega}")
@@ -278,16 +280,10 @@ def clb_closed_d1q3(f0, omega, steps):
         raise ValueError(f"f0 must have shape (3,), got {f0.shape}")
     if abs(f0.sum() - 1.0) > 1e-9:
         raise ValueError(f"populations must sum to 1, got {f0.sum()!r}")
-    model = build_lattice("D1Q3")
+    driving = bgk_driving(build_lattice("D1Q3"), 1.0)
     A = np.eye(4)
-    A[:3, :3] *= 1.0 - omega
-    for i in range(3):
-        for e, coef in classical.equilibrium_terms(model, i).items():
-            if sum(e) == 0:  # w_i rho, rho = sum_j f_j
-                A[i, :3] += omega * coef
-            elif sum(e) == 1:
-                A[i, e.index(1)] += omega * coef
-            elif e == (0, 0, 2):  # every quadratic term is a multiple of g
-                A[i, 3] = omega * coef
+    for j, e in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1))):
+        A[:3, j] += omega * driving[e]
+    A[:3, 3] = omega * driving[(0, 0, 2)]
     state = np.array([f0[0], f0[1], f0[2], (f0[2] - f0[1]) ** 2])
     return _orbit(A.__matmul__, state, steps)

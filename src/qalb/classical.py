@@ -67,26 +67,33 @@ def _equilibrium(model, rho, u):
     return _bgk_polynomial(rho[..., None] * model.weights, cu, uu[..., None])
 
 
-def equilibrium_terms(model, i):
-    """Unit-density equilibrium of population i as a polynomial,
-    w_i (1 + 3 c_i.m + 9/2 (c_i.m)^2 - 3/2 m.m) with m = sum_j c_j f_j,
-    as {exponent tuple over the Q populations: coefficient}."""
+def bgk_rate(model, tau):
+    """BGK relaxation rate -(1/tau)(f - feq(f)) as a polynomial in the
+    populations, with the unit-density equilibrium
+    feq_i = w_i (1 + 3 c_i.m + 9/2 (c_i.m)^2 - 3/2 m.m), m = sum_j c_j f_j:
+    {exponent tuple over the Q populations: (Q,) coefficient vector}, the
+    rate of population i being sum_e rate[e][i] f^e.  The constant w/tau
+    stays a constant term."""
     Q = model.Q
     c = model.velocities.astype(float)
     cc = c @ c.T
-    w = model.weights[i]
-    terms = {}
+    rate = {}
 
     def add(pops, coef):
         e = tuple(pops.count(m) for m in range(Q))
-        terms[e] = terms.get(e, 0.0) + w * coef
+        rate.setdefault(e, np.zeros(Q))
+        rate[e] += model.weights * coef
 
     add((), 1.0)
     for j in range(Q):
-        add((j,), 3.0 * cc[i, j])
+        add((j,), 3.0 * cc[:, j])
         for k in range(Q):
-            add((j, k), 4.5 * cc[i, j] * cc[i, k] - 1.5 * cc[j, k])
-    return terms
+            add((j, k), 4.5 * cc[:, j] * cc[:, k] - 1.5 * cc[j, k])
+    for coef in rate.values():
+        coef /= tau
+    for i in range(Q):
+        rate[tuple(int(m == i) for m in range(Q))][i] -= 1.0 / tau
+    return rate
 
 
 def equilibrium(f, model):

@@ -11,7 +11,8 @@ known constant dissipation rate to compensate in post-processing.
 With p = iP and P real, -i dt H = dt sum_i P_i Omega_i is real, so the
 engine works in real arithmetic throughout: generators, propagators and
 states.  Every operator is a sum of Kronecker products of one-mode factors
-P^p q^k, assembled from classical.equilibrium_terms for each population.
+P^p q^k, assembled from the driving dict classical.bgk_rate, the one
+written form of the BGK rate.
 
 Registers of up to 512 amplitudes are marched and certified on dense
 Fock-basis matrices.  A larger one (D1Q3 at 4 qubits per mode, 4096) works
@@ -117,22 +118,14 @@ def _factors(cfg):
     return {(p, k): P @ qk[k] if p else qk[k] for p in (0, 1) for k in range(3)}
 
 
-def _equilibrium_terms(setup, i, p_mode=None):
-    """classical.equilibrium_terms in the q_j, with exponent k on mode m
-    keyed as the factor (m == p_mode, k): P multiplies mode p_mode."""
+def _terms(rate, i, p_mode=None):
+    """Population i's entries of the driving dict rate, with exponent k on
+    mode m keyed as _kron_sum's factor (m == p_mode, k): P multiplies mode
+    p_mode."""
     return {
-        tuple((int(m == p_mode), k) for m, k in enumerate(e)): coef
-        for e, coef in classical.equilibrium_terms(setup.model, i).items()
+        tuple((int(m == p_mode), k) for m, k in enumerate(e)): float(coef[i])
+        for e, coef in rate.items()
     }
-
-
-def _omega_terms(setup, i, p_mode=None):
-    """-(1/tau)(q_i - feq_i(u_hat)) in the form of _equilibrium_terms."""
-    feq = _equilibrium_terms(setup, i, p_mode)
-    terms = {key: coef / setup.tau for key, coef in feq.items()}
-    q_i = tuple((int(m == p_mode), int(m == i)) for m in range(setup.modes))
-    terms[q_i] = terms.get(q_i, 0.0) - 1.0 / setup.tau
-    return terms
 
 
 def _kron_sum(terms, factors):
@@ -152,16 +145,11 @@ def _kron_sum(terms, factors):
     )
 
 
-def equilibrium_operator(setup, i):
-    """Operator form of the quadratic equilibrium of population i at unit
-    density: w_i (I + 3 c_i.u_hat + 9/2 (c_i.u_hat)^2 - 3/2 u_hat.u_hat)."""
-    return _kron_sum(_equilibrium_terms(setup, i), _factors(setup.cfg))
-
-
 def omega_operator(setup, i):
     """BGK relaxation generator of population i,
     -(1/tau)(q_i - feq_i(u_hat))."""
-    return _kron_sum(_omega_terms(setup, i), _factors(setup.cfg))
+    rate = classical.bgk_rate(setup.model, setup.tau)
+    return _kron_sum(_terms(rate, i), _factors(setup.cfg))
 
 
 def generator(setup, mode):
@@ -169,17 +157,19 @@ def generator(setup, mode):
     antisymmetric half (G - G^T)/2 in hermitized mode."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    rate = classical.bgk_rate(setup.model, setup.tau)
     terms = {}
     for i in range(setup.modes):
-        terms.update(_omega_terms(setup, i, p_mode=i))
+        terms.update(_terms(rate, i, p_mode=i))
     G = _kron_sum(terms, _factors(setup.cfg))
     return G if mode == "nonhermitian" else 0.5 * (G - G.T)
 
 
 def _dense(setup, mode):
     """A = dt G of one collision mode, memoized on the setup at
-    n <= _DENSE_DIM, where the certificate and the propagator both read it;
-    above, only the certificate's memoized dense fallback reads it."""
+    n <= _DENSE_DIM, where the propagator and, in nonhermitian mode, the
+    certificate read it; above, only the certificate's memoized dense
+    fallback reads it."""
     A = setup._cache.get(("A", mode))
     if A is None:
         A = setup.dt * generator(setup, mode)
@@ -233,9 +223,10 @@ def _q_form(setup):
     Every term of G carries P on exactly one mode and powers of q on the
     others, and q^2 is a polynomial in q, so D_i = Omega_i(q) is diagonal
     in W: entry d_i = dt Omega_i(lam_1, ..., lam_Q) at each tuple of
-    eigenvalues, evaluated from the same _omega_terms as the Fock-basis
-    generator.  The allowance bounds how far the largest eigenvalue of the
-    symmetric part of this form may sit from that of the dense A:
+    eigenvalues, evaluated from the same classical.bgk_rate as the
+    Fock-basis generator.  The allowance bounds how far the largest
+    eigenvalue of the symmetric part of this form may sit from that of the
+    dense A:
     8 (n + L) u norm for the rounding of P~, d and of one product, plus
     2 Q e norm for the orthogonality defect e = ||V^T V - I||_1 of V.
     """
@@ -247,12 +238,11 @@ def _q_form(setup):
         Pt = 0.5 * (Pt - Pt.T)
         powers = (np.ones(L), lam, lam * lam)
         d = np.zeros((Q,) + (L,) * Q)
-        for i in range(Q):
-            for keys, coef in _omega_terms(setup, i).items():
-                term = setup.dt * coef
-                for m, (_, k) in enumerate(keys):
-                    term = term * powers[k].reshape((L,) + (1,) * (Q - 1 - m))
-                d[i] += term
+        for e, coef in classical.bgk_rate(setup.model, setup.tau).items():
+            term = (setup.dt * coef).reshape((Q,) + (1,) * Q)
+            for m, k in enumerate(e):
+                term = term * powers[k].reshape((L,) + (1,) * (Q - 1 - m))
+            d += term
         d = d.reshape(Q, n)
         norm = float(np.abs(Pt).sum(axis=0).max())
         norm *= float(np.abs(d).max(axis=1).sum())
@@ -353,11 +343,12 @@ def certificate(setup, mode):
     e^{dt (Q - D) / (2 tau)}; sigma above that envelope by more than 1
     percent marks the setup as divergent before any state is evolved.  In
     hermitized mode A is exactly antisymmetric, so S is 0 and sigma is
-    exactly 1.  The certificate never forms expm(A).
+    exactly 1 at every register size, with nothing built.  The certificate
+    never forms expm(A).
 
-    At n <= _DENSE_DIM mu comes from the dense S (_lambda_max_bound).  A
-    larger register first tries the q-eigenbasis (_q_form) and forms no
-    dense matrix unless neither bound decides:
+    In nonhermitian mode at n <= _DENSE_DIM, mu comes from the dense S
+    (_lambda_max_bound).  A larger register first tries the q-eigenbasis
+    (_q_form) and forms no dense matrix unless neither bound decides:
     - clean, with sigma = e^{mu_W}, when the Weyl bound (_weyl_bound)
       keeps e^{mu_W} within the threshold;
     - flagged, with sigma = e^{mu_W}, when a lower bound on the largest
@@ -373,15 +364,13 @@ def certificate(setup, mode):
         bound = float(dissipation_factor(1.0, setup.dt, setup.tau, Q, D))
         threshold = bound * CERTIFICATE_MARGIN
         sigma = None
-        if setup.dim > _DENSE_DIM:
-            if mode == "hermitized":
-                sigma = 1.0
-            else:
-                weyl = exp(_weyl_bound(setup))
-                # clean by the upper bound, or flagged by the lower one
-                if (weyl <= threshold
-                        or exp(_rayleigh_bound(setup)) > threshold):
-                    sigma = weyl
+        if mode == "hermitized":
+            sigma = 1.0
+        elif setup.dim > _DENSE_DIM:
+            weyl = exp(_weyl_bound(setup))
+            # clean by the upper bound, or flagged by the lower one
+            if weyl <= threshold or exp(_rayleigh_bound(setup)) > threshold:
+                sigma = weyl
         if sigma is None:
             A = _dense(setup, mode)
             S = np.add(A, A.T)

@@ -203,6 +203,25 @@ def test_bgk_driving_matches_relaxation_rate():
             assert np.max(np.abs(_rate(driving, f) - want)) < 1e-13
 
 
+def test_bgk_driving_homogenizes_bgk_rate():
+    # the constant w/tau moves onto w/tau sum_j f_j: no constant key is
+    # left, the two agree on the simplex, and they part at f = 0
+    rng = np.random.default_rng(6)
+    for name in ("D1Q3", "D2Q9", "D3Q27"):
+        model = lattice.build_lattice(name)
+        rate = classical.bgk_rate(model, 0.7)
+        driving = carleman.bgk_driving(model, 0.7)
+        assert (0,) * model.Q not in driving
+        for _ in range(3):
+            f = rng.uniform(0.05, 0.5, size=model.Q)
+            f /= f.sum()
+            gap = _rate(driving, f) - _rate(rate, f)
+            assert np.max(np.abs(gap)) < 1e-13
+        zero = np.zeros(model.Q)
+        assert np.array_equal(_rate(driving, zero), zero)
+        assert np.array_equal(_rate(rate, zero), model.weights / 0.7)
+
+
 def test_order_two_bgk_closure_is_exact_d2q9():
     # the momentum is conserved and enters feq only through its square, so
     # the truncated degree-3 feeds cancel and feq stays at its initial value

@@ -17,20 +17,20 @@ def test_equilibrium_frozen_d1q3():
     assert np.max(np.abs(eq - np.array([0.94 / 1.5, 0.52 / 6.0, 1.72 / 6.0]))) < 1e-15
 
 
-def test_equilibrium_terms_match_equilibrium_at_unit_mass():
+def test_bgk_rate_matches_relaxation_at_unit_mass():
+    # the driving dict is -(f - feq(f))/tau wherever the density is one, and
+    # it keeps the constant w/tau as its own term
     rng = np.random.default_rng(2)
+    tau = 0.7
     for name in ("D1Q3", "D2Q9", "D3Q27"):
         m = lattice.build_lattice(name)
+        rate = classical.bgk_rate(m, tau)
+        assert np.array_equal(rate[(0,) * m.Q], m.weights / tau)
         f = rng.uniform(0.05, 0.5, size=m.Q)
         f /= f.sum()
-        got = [
-            sum(
-                coef * np.prod(f ** np.array(e))
-                for e, coef in classical.equilibrium_terms(m, i).items()
-            )
-            for i in range(m.Q)
-        ]
-        assert np.max(np.abs(got - classical.equilibrium(f, m))) < 1e-14
+        got = sum(coef * np.prod(f ** np.array(e)) for e, coef in rate.items())
+        want = -(f - classical.equilibrium(f, m)) / tau
+        assert np.max(np.abs(got - want)) < 1e-14
 
 
 def test_equilibrium_carries_density():

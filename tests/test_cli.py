@@ -399,9 +399,10 @@ def test_grid_stream_guards_tau(tmp_path, capsys, steps):
 
 def test_package_runs_without_scipy(tmp_path):
     # scipy is a test-only dependency: importing every module, running a
-    # default quantum call (dense march) and a 2-step qc=3 one (march by the
-    # action of the exponential) must not load it
-    short = ["quantum", "--set", "qc=3", "--set", "steps=2"]
+    # default quantum call (dense march) and a 2-step qc=4 one (march and
+    # certificate in the q-eigenbasis, by the action of the exponential)
+    # must not load it
+    short = ["quantum", "--set", "qc=4", "--set", "steps=2"]
     code = (
         "import importlib, pkgutil, sys, qalb\n"
         "for mod in pkgutil.iter_modules(qalb.__path__):\n"

@@ -34,11 +34,26 @@ def test_divergence_and_dissipation():
     assert abs(fac - np.exp(10 * 1e-3 * 2 / 2.0)) < 1e-15
 
 
-def test_equilibrium_operators_sum_to_identity():
-    # the bracket parts beyond w_i cancel when summed over directions
-    s = _setup(2)
-    total = sum(engine.equilibrium_operator(s, i) for i in range(3))
-    assert np.max(np.abs(total - np.eye(s.dim))) < 1e-12
+def test_omega_operators_sum_to_mass_relaxation():
+    # the equilibria sum to the density, which is the identity at unit
+    # mass, so sum_i Omega_i = (I - sum_i q_i)/tau
+    s = _setup(2, tau=0.7)
+    total = sum(engine.omega_operator(s, i) for i in range(3))
+    q_sum = sum(_lift(fock.q_matrix(s.cfg), i, s) for i in range(3))
+    want = (np.eye(s.dim) - q_sum) / s.tau
+    assert np.max(np.abs(total - want)) < 1e-12
+
+
+def test_terms_build_logistic_generator():
+    # any driving dict runs through the same terms: df/dt = -a f + b f^2 on
+    # one mode is P(-a q + b q^2)
+    cfg = fock.FockConfig(3)
+    a, b = 1.0, 0.5
+    terms = engine._terms({(1,): [-a], (2,): [b]}, 0, p_mode=0)
+    G = engine._kron_sum(terms, engine._factors(cfg))
+    q = fock.q_matrix(cfg)
+    want = fock.P_matrix(cfg) @ (-a * q + b * q @ q)
+    assert np.max(np.abs(G - want)) < 1e-14
 
 
 def test_omega_operator_symmetric():
@@ -162,9 +177,9 @@ def _dense_increments(setup, psi):
     factors = engine._factors(setup.cfg)
     amps = np.empty(index.size)
     amps[0] = psi[0] ** 2
+    rate = classical.bgk_rate(setup.model, setup.tau)
     for m, s in enumerate(index[1:]):
-        term = engine._omega_terms(setup, m, p_mode=m)
-        y = engine._kron_sum(term, factors) @ psi
+        y = engine._kron_sum(engine._terms(rate, m, p_mode=m), factors) @ psi
         amps[m + 1] = y[s] * psi[0] - psi[s] * y[0]
     return fock.ratio_decode(amps)
 
@@ -301,6 +316,24 @@ def test_generator_built_once_per_mode(monkeypatch):
         engine.certificate(s, mode)
         engine.evolve_quantum_0d(s, F0, 3, mode=mode)
     assert sorted(calls) == sorted(engine.MODES)
+
+
+def test_hermitized_certificate_builds_nothing(monkeypatch):
+    # the hermitized A is exactly antisymmetric, so sigma is 1 at every
+    # register size without a build of dt G
+    calls = []
+    real = engine.generator
+
+    def counting(setup, mode):
+        calls.append(mode)
+        return real(setup, mode)
+
+    monkeypatch.setattr(engine, "generator", counting)
+    s = _setup(2)
+    sigma, bound, flagged = engine.certificate(s, "hermitized")
+    assert (sigma, flagged) == (1.0, False)
+    assert bound == engine.dissipation_factor(1.0, s.dt, s.tau, 3, 1)
+    assert calls == []
 
 
 def test_evolution_guards():
