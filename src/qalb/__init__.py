@@ -3,9 +3,8 @@
 Classical relaxation references, Carleman linearization of the collision
 nonlinearity, truncated bosonic registers with Pauli compilation, the
 encoded collision engine with its divergence monitors, streaming as
-controlled binary increments, closed-form truncation-error bounds,
-window-restricted Hermite recurrences, and resource estimates, plus the
-`qalb` command-line driver.
+controlled binary increments, closed-form truncation-error bounds, and
+resource estimates, plus the `qalb` command-line driver.
 """
 
 __version__ = "0.1.0"
@@ -18,7 +17,6 @@ from . import (
     engine,
     errors,
     fock,
-    hermite,
     lattice,
     linalg,
     pauli,
@@ -34,7 +32,6 @@ __all__ = [
     "engine",
     "errors",
     "fock",
-    "hermite",
     "lattice",
     "linalg",
     "pauli",

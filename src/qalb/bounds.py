@@ -14,7 +14,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import DiscriminantNotClosed, NegativeRadicand, TooLarge
-from .hermite import normalized_he
+from .fock import normalized_he
 
 Z_CLAMP = 1e12
 

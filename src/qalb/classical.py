@@ -1,26 +1,15 @@
 """Reference BGK collision dynamics on the discrete velocity models.
 
 This is the floating-point baseline every encoded evolution is judged
-against: single-site relaxation, periodic streaming on grids, and the
-truncated Gauss-Hermite expansion that motivates the quadratic equilibrium.
+against: the quadratic equilibrium and the BGK rate written once,
+single-site relaxation in closed form, and periodic streaming on grids.
 """
 
 from dataclasses import dataclass, field
-from math import exp, factorial, pi, sqrt
 
 import numpy as np
 
 from .errors import TauTooSmall, ZeroDensity
-from .hermite import hermite_h
-from .lattice import _NAMES, build_lattice
-
-
-def model_for_dim(D):
-    """The unique supported lattice in D dimensions."""
-    for name, dim in _NAMES.items():
-        if dim == D:
-            return build_lattice(name)
-    raise ValueError(f"no lattice in {D} dimensions")
 
 
 def check_tau(tau, dt):
@@ -215,72 +204,3 @@ def evolve_0d(f0, model, tau, dt, steps):
         s = np.cumsum((1.0 - lam) ** np.arange(steps))
         hist[1:] = f - (lam * s)[:, None] * (f - equilibrium(f, model))
     return hist
-
-
-def _gaussian(v, RT):
-    """(2 pi RT)^(-d/2) exp(-v.v / (2 RT)) for a d-vector v."""
-    return (2.0 * pi * RT) ** (-len(v) / 2.0) * exp(
-        -float(v @ v) / (2.0 * RT)
-    )
-
-
-def _bracket(c, u, RT, kmax):
-    """Product over axes mu of Sum_k (u_mu/s)^k / k! H_k(c_mu/s), with
-    s = sqrt(2 RT)."""
-    s = sqrt(2.0 * RT)
-    b = 1.0
-    for mu in range(len(c)):
-        H = hermite_h(kmax, c[mu] / s)
-        t = u[mu] / s
-        b *= sum(t ** k / factorial(k) * float(H[k]) for k in range(kmax + 1))
-    return b
-
-
-def hermite_expansion_point(c, u, RT, kmax):
-    """Truncated Hermite expansion of the Maxwellian at one velocity point.
-
-    The exponential weight sits at c, which is also the Hermite argument;
-    the flow velocity u enters only through the series coefficients
-    (u_mu / sqrt(2 RT))^k / k!.  As kmax -> inf the product converges to
-    the drifting Maxwellian by the generating-function identity.
-    """
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    return _gaussian(c, RT) * _bracket(c, u, RT, kmax)
-
-
-def maxwell_boltzmann(c, u, RT):
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    return _gaussian(c - u, RT)
-
-
-@dataclass(frozen=True)
-class HermiteEquilibrium:
-    """Expansion evaluated at each lattice velocity."""
-
-    values: np.ndarray  # prefactor * bracket per direction
-    bracket: np.ndarray
-    prefactor: np.ndarray
-
-
-def hermite_equilibrium_expansion(u, RT, kmax):
-    """Evaluate the truncated expansion at the matching lattice velocities.
-
-    The lattice is inferred from the dimension of u.  At kmax = 2 and
-    RT = 1/3 the bracket collapses to 1 + 3 c.u + 9/2 (c.u)^2 - 3/2 u.u
-    up to O(u^3) cross terms, so weights times bracket reproduces the
-    quadratic equilibrium at unit density.
-    """
-    if RT <= 0.0:
-        raise ValueError(f"RT must be positive, got {RT}")
-    if kmax < 0:
-        raise ValueError(f"kmax must be nonnegative, got {kmax}")
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    model = model_for_dim(u.shape[0])
-    c = model.velocities.astype(float)
-    pref = np.array([_gaussian(ci, RT) for ci in c])
-    bracket = np.array([_bracket(ci, u, RT, kmax) for ci in c])
-    return HermiteEquilibrium(
-        values=pref * bracket, bracket=bracket, prefactor=pref
-    )

@@ -391,18 +391,17 @@ def cmd_bounds(config):
     for n in range(1, config["nmax"] + 1):
         print(f"  N={n}: {table[n - 1]:.6g}")
     header, columns = ["t"], [np.arange(steps + 1) * dt]
-    for variant in bounds.VARIANTS:
-        C0, C1 = bounds.bound_coefficients(config["Q"], variant)
+    by_variant = bounds.feasibility_by_variant(config["Q"], eps, dt, tau)
+    for variant, feas in by_variant.items():
         params = bounds.ErrorBoundParams(
-            C0=C0, C1=C1, tau=tau, dt=dt, eps_N=eps
+            C0=feas.C0, C1=feas.C1, tau=tau, dt=dt, eps_N=eps
         )
         series = bounds.logistic_map_run(params, steps)
-        feas = bounds.feasibility(C0, C1, dt, tau, eps)
         header += [f"{variant}_Z", f"{variant}_eps", f"{variant}_eps_raw"]
         columns += [series.Z, series.eps, series.eps_raw]
         verdict = "feasible" if feas.feasible else "infeasible"
         print(
-            f"{variant}: C0={C0:.6g} C1={C1:.6g} "
+            f"{variant}: C0={feas.C0:.6g} C1={feas.C1:.6g} "
             f"kappa={params.kappa[0]:.6g},{params.kappa[1]:.6g} "
             f"Z0={params.Z0:.6g} {verdict} "
             f"(margins {feas.margin_low:.6g}, {feas.margin_high:.6g})"

@@ -54,13 +54,5 @@ class DiscriminantNotClosed(QalbError):
     """Completed-square identity b'^2 - 4 a' c' = 0 failed beyond tolerance."""
 
 
-class QuadratureFailure(QalbError):
-    """Moment quadrature did not reach the requested tolerance."""
-
-
-class SingularCoefficient(QalbError):
-    """Lowering-operator coefficient evaluated too close to a singularity."""
-
-
 class NonFinite(QalbError):
     """A matrix or state contains non-finite entries."""

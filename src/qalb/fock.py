@@ -4,7 +4,9 @@ One mode is stored on `qubits` qubits, giving levels 0..N with
 N = 2**qubits - 1.  The lowering operator keeps sqrt(n) on the
 superdiagonal (row n-1, column n), so q = (a + a^dag)/sqrt(2) and
 p = i (a^dag - a)/sqrt(2) reproduce the canonical pair up to the single
-truncation defect in the top corner.  The spectrum of q comes from
+truncation defect in the top corner.  Values are encoded through the
+normalized Hermite sequence h_n = He_n / sqrt(n!), which `bounds` reads
+for the truncation defect as well.  The spectrum of q comes from
 LAPACK's symmetric eigensolver; its eigenvectors have the closed form
 h_n(sqrt(2) lam), which the tests keep as an independent check.
 """
@@ -14,8 +16,7 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import DimMismatch, OutOfRange, TooLarge
-from .hermite import normalized_he
+from .errors import OutOfRange, TooLarge
 
 _MAX_QUBITS_DENSE = 12
 
@@ -69,14 +70,22 @@ def p_matrix(cfg):
     return 1j * P_matrix(cfg)
 
 
-def commutator(A, B):
-    A = np.asarray(A)
-    B = np.asarray(B)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimMismatch(f"first operand is not square: {A.shape}")
-    if B.shape != A.shape:
-        raise DimMismatch(f"operand shapes differ: {A.shape} vs {B.shape}")
-    return A @ B - B @ A
+def normalized_he(n, x):
+    """h_0..h_n at x, h_k = He_k / sqrt(k!) with He_k the probabilists'
+    Hermite polynomial, stacked on a new leading axis.
+
+    From h_{k+1} = (x h_k - sqrt(k) h_{k-1}) / sqrt(k + 1): dividing at
+    every step keeps the values O(1) on the encodable range, where He_k
+    and k! alone overflow past k = 170.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty((n + 1,) + x.shape)
+    out[0] = 1.0
+    if n >= 1:
+        out[1] = x
+    for k in range(1, n):
+        out[k + 1] = (x * out[k] - sqrt(k) * out[k - 1]) / sqrt(k + 1)
+    return out
 
 
 def encode_value(f, cfg):
@@ -104,16 +113,6 @@ def ratio_decode(amps):
     vals = np.full(amps[..., 1:].shape, np.nan, np.result_type(amps, float))
     np.divide(amps[..., 1:], ground, out=vals, where=ground != 0.0)
     return vals / sqrt(2.0)
-
-
-def zero_vectors(cfg):
-    """The two one-sided null states: a kills the ground state and, under
-    truncation, a^dag kills the top level."""
-    lo = np.zeros(cfg.levels)
-    hi = np.zeros(cfg.levels)
-    lo[0] = 1.0
-    hi[-1] = 1.0
-    return lo, hi
 
 
 def q_eigensystem(cfg):

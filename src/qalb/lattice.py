@@ -1,4 +1,4 @@
-"""Velocity sets, weights, and mode-coupling tensors.
+"""Velocity sets and weights of the supported lattices.
 
 Models are built from the one-dimensional stencil (0, -1, +1) with weights
 (2/3, 1/6, 1/6); higher dimensions are tensor products.  Ordering is always
@@ -55,40 +55,3 @@ def build_lattice(name):
         weights=np.array([float(_weight(v)) for v in vels]),
         cs2=float(CS2),
     )
-
-
-@dataclass(frozen=True)
-class ModeCoupling:
-    """Linear and quadratic collision tensors of a lattice."""
-
-    L: np.ndarray  # (Q, Q)
-    Qt: np.ndarray  # (Q, Q, Q)
-
-    def equilibrium(self, f):
-        f = np.asarray(f, dtype=float)
-        return self.L @ f + np.einsum("ijk,j,k->i", self.Qt, f, f)
-
-
-def mode_coupling(model):
-    """Build L_ij = w_i (1 + c_i.c_j / cs2) and
-    Qt_ijk = w_i (c_i.c_i - D cs2) (c_j.c_k) / (2 cs2^2).
-
-    The quadratic trace coefficient keeps sum_i w_i (c_i.c_i - D cs2) = 0,
-    so the columns of L sum to one and Qt sums to zero over its first index.
-    Since sum_j c_j = 0, the rows of L sum to Q w_i, not to one.  Qt is the
-    trace closure, equal to the BGK equilibrium only on D1Q3.
-    """
-    # entries depend on (j, k) only through the integer c_j.c_k in -D..D,
-    # so each (i, c_j.c_k) pair is rounded from its rational exactly once
-    wfr = model.weight_fractions()
-    c = model.velocities
-    D = model.D
-    dots = [Fraction(v) for v in range(-D, D + 1)]
-    Ltab = np.array([[float(w * (1 + v / CS2)) for v in dots] for w in wfr])
-    trace = [
-        w * (int(ci @ ci) - D * CS2) / (2 * CS2 ** 2) for w, ci in zip(wfr, c)
-    ]
-    Qtab = np.array([[float(t * v) for v in dots] for t in trace])
-    gram = c @ c.T + D  # column index of c_j.c_k in the tables
-    L = np.take_along_axis(Ltab, gram, axis=1)
-    return ModeCoupling(L=L, Qt=Qtab[:, gram])

@@ -1,22 +1,41 @@
-"""Orthogonal polynomials of the Gaussian weight cut to [-z, z].
+"""Test oracles: derivations the suite checks and no `qalb` run reaches.
 
-The recurrence coefficients gamma_n have no closed form on a finite
-window; they come from high-precision moment quadrature and Gram-Schmidt
-on monomials, and they satisfy a family of Laguerre-Freud relations that
-the tests pin down.  As z grows the window stops mattering and
-gamma_n -> n/2, the full-line Hermite value.  The same monic recurrence
-with gamma_n = n/2 gives the physicists' Hermite polynomials; the
-normalized probabilists' sequence He_n / sqrt(n!) that encodes register
-values has its own recurrence, which never forms n!.
+- Orthogonal polynomials of the Gaussian weight cut to [-z, z].  The
+  recurrence coefficients gamma_n have no closed form on a finite window;
+  they come from high-precision moment quadrature and Gram-Schmidt on
+  monomials, and they satisfy a family of Laguerre-Freud relations that
+  the tests pin down.  As z grows the window stops mattering and
+  gamma_n -> n/2, the full-line Hermite value.  The same monic recurrence
+  with gamma_n = n/2 gives the physicists' Hermite polynomials.
+- The truncated Gauss-Hermite expansion of the Maxwellian that motivates
+  the quadratic BGK equilibrium.
+- The trace-closure mode-coupling tensors of a lattice.
+- The commutator and the two one-sided null states of the truncated
+  ladder operators.
+
+mpmath, which the quadrature needs, is a test dependency only.
 """
 
 from dataclasses import dataclass
-from math import sqrt
+from fractions import Fraction
+from math import exp, factorial, pi, sqrt
 
 import mpmath
 import numpy as np
 
-from .errors import QuadratureFailure, SingularCoefficient, TooLarge
+from qalb.errors import DimMismatch, QalbError, TooLarge
+from qalb.lattice import _NAMES, CS2, build_lattice
+
+
+class QuadratureFailure(QalbError):
+    """Moment quadrature did not reach the requested tolerance."""
+
+
+class SingularCoefficient(QalbError):
+    """Lowering-operator coefficient evaluated too close to a singularity."""
+
+
+# --- window-restricted Hermite family ---------------------------------
 
 _MAX_N = 20
 _DPS = 50  # mpmath working digits of the moment quadrature
@@ -141,24 +160,6 @@ def monic_sequence(gams, n, x):
         out[1] = x
     for k in range(1, n):
         out[k + 1] = x * out[k] - gams[k - 1] * out[k - 1]
-    return out
-
-
-def normalized_he(n, x):
-    """h_0..h_n at x, h_k = He_k / sqrt(k!) with He_k the probabilists'
-    Hermite polynomial, stacked on a new leading axis.
-
-    From h_{k+1} = (x h_k - sqrt(k) h_{k-1}) / sqrt(k + 1): dividing at
-    every step keeps the values O(1) on the encodable range, where He_k
-    and k! alone overflow past k = 170.
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.empty((n + 1,) + x.shape)
-    out[0] = 1.0
-    if n >= 1:
-        out[1] = x
-    for k in range(1, n):
-        out[k + 1] = (x * out[k] - sqrt(k) * out[k - 1]) / sqrt(k + 1)
     return out
 
 
@@ -295,3 +296,146 @@ def diff_recurrence_check(basis, n, xs):
         + tau * _evaluate(gams, n - 2, x)
     )
     return np.abs(lhs - rhs)
+
+
+# --- Hermite expansion of the Maxwellian -------------------------------
+
+
+def model_for_dim(D):
+    """The unique supported lattice in D dimensions."""
+    for name, dim in _NAMES.items():
+        if dim == D:
+            return build_lattice(name)
+    raise ValueError(f"no lattice in {D} dimensions")
+
+
+def _gaussian(v, RT):
+    """(2 pi RT)^(-d/2) exp(-v.v / (2 RT)) for a d-vector v."""
+    return (2.0 * pi * RT) ** (-len(v) / 2.0) * exp(
+        -float(v @ v) / (2.0 * RT)
+    )
+
+
+def _bracket(c, u, RT, kmax):
+    """Product over axes mu of Sum_k (u_mu/s)^k / k! H_k(c_mu/s), with
+    s = sqrt(2 RT)."""
+    s = sqrt(2.0 * RT)
+    b = 1.0
+    for mu in range(len(c)):
+        H = hermite_h(kmax, c[mu] / s)
+        t = u[mu] / s
+        b *= sum(t ** k / factorial(k) * float(H[k]) for k in range(kmax + 1))
+    return b
+
+
+def hermite_expansion_point(c, u, RT, kmax):
+    """Truncated Hermite expansion of the Maxwellian at one velocity point.
+
+    The exponential weight sits at c, which is also the Hermite argument;
+    the flow velocity u enters only through the series coefficients
+    (u_mu / sqrt(2 RT))^k / k!.  As kmax -> inf the product converges to
+    the drifting Maxwellian by the generating-function identity.
+    """
+    c = np.atleast_1d(np.asarray(c, dtype=float))
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    return _gaussian(c, RT) * _bracket(c, u, RT, kmax)
+
+
+def maxwell_boltzmann(c, u, RT):
+    c = np.atleast_1d(np.asarray(c, dtype=float))
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    return _gaussian(c - u, RT)
+
+
+@dataclass(frozen=True)
+class HermiteEquilibrium:
+    """Expansion evaluated at each lattice velocity."""
+
+    values: np.ndarray  # prefactor * bracket per direction
+    bracket: np.ndarray
+    prefactor: np.ndarray
+
+
+def hermite_equilibrium_expansion(u, RT, kmax):
+    """Evaluate the truncated expansion at the matching lattice velocities.
+
+    The lattice is inferred from the dimension of u.  At kmax = 2 and
+    RT = 1/3 the bracket collapses to 1 + 3 c.u + 9/2 (c.u)^2 - 3/2 u.u
+    up to O(u^3) cross terms, so weights times bracket reproduces the
+    quadratic equilibrium at unit density.
+    """
+    if RT <= 0.0:
+        raise ValueError(f"RT must be positive, got {RT}")
+    if kmax < 0:
+        raise ValueError(f"kmax must be nonnegative, got {kmax}")
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    model = model_for_dim(u.shape[0])
+    c = model.velocities.astype(float)
+    pref = np.array([_gaussian(ci, RT) for ci in c])
+    bracket = np.array([_bracket(ci, u, RT, kmax) for ci in c])
+    return HermiteEquilibrium(
+        values=pref * bracket, bracket=bracket, prefactor=pref
+    )
+
+
+# --- trace-closure mode coupling ---------------------------------------
+
+
+@dataclass(frozen=True)
+class ModeCoupling:
+    """Linear and quadratic collision tensors of a lattice."""
+
+    L: np.ndarray  # (Q, Q)
+    Qt: np.ndarray  # (Q, Q, Q)
+
+    def equilibrium(self, f):
+        f = np.asarray(f, dtype=float)
+        return self.L @ f + np.einsum("ijk,j,k->i", self.Qt, f, f)
+
+
+def mode_coupling(model):
+    """Build L_ij = w_i (1 + c_i.c_j / cs2) and
+    Qt_ijk = w_i (c_i.c_i - D cs2) (c_j.c_k) / (2 cs2^2).
+
+    The quadratic trace coefficient keeps sum_i w_i (c_i.c_i - D cs2) = 0,
+    so the columns of L sum to one and Qt sums to zero over its first index.
+    Since sum_j c_j = 0, the rows of L sum to Q w_i, not to one.  Qt is the
+    trace closure, equal to the BGK equilibrium only on D1Q3.
+    """
+    # entries depend on (j, k) only through the integer c_j.c_k in -D..D,
+    # so each (i, c_j.c_k) pair is rounded from its rational exactly once
+    wfr = model.weight_fractions()
+    c = model.velocities
+    D = model.D
+    dots = [Fraction(v) for v in range(-D, D + 1)]
+    Ltab = np.array([[float(w * (1 + v / CS2)) for v in dots] for w in wfr])
+    trace = [
+        w * (int(ci @ ci) - D * CS2) / (2 * CS2 ** 2) for w, ci in zip(wfr, c)
+    ]
+    Qtab = np.array([[float(t * v) for v in dots] for t in trace])
+    gram = c @ c.T + D  # column index of c_j.c_k in the tables
+    L = np.take_along_axis(Ltab, gram, axis=1)
+    return ModeCoupling(L=L, Qt=Qtab[:, gram])
+
+
+# --- truncated ladder algebra ------------------------------------------
+
+
+def commutator(A, B):
+    A = np.asarray(A)
+    B = np.asarray(B)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise DimMismatch(f"first operand is not square: {A.shape}")
+    if B.shape != A.shape:
+        raise DimMismatch(f"operand shapes differ: {A.shape} vs {B.shape}")
+    return A @ B - B @ A
+
+
+def zero_vectors(cfg):
+    """The two one-sided null states: a kills the ground state and, under
+    truncation, a^dag kills the top level."""
+    lo = np.zeros(cfg.levels)
+    hi = np.zeros(cfg.levels)
+    lo[0] = 1.0
+    hi[-1] = 1.0
+    return lo, hi

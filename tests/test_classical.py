@@ -7,6 +7,8 @@ import pytest
 from qalb import classical, lattice
 from qalb.errors import TauTooSmall, ZeroDensity
 
+import oracles
+
 D1Q3 = lattice.build_lattice("D1Q3")
 D2Q9 = lattice.build_lattice("D2Q9")
 
@@ -51,9 +53,9 @@ def test_site_moments_guards():
 
 
 def test_model_lookup():
-    assert classical.model_for_dim(2).name == "D2Q9"
+    assert oracles.model_for_dim(2).name == "D2Q9"
     with pytest.raises(ValueError):
-        classical.model_for_dim(4)
+        oracles.model_for_dim(4)
 
 
 def test_collide_conserves_moments():
@@ -269,7 +271,7 @@ def test_evolve_0d_density_guard_starts_at_step_one():
 def test_hermite_bracket_matches_quadratic_equilibrium():
     # in one dimension the kmax = 2 bracket has no dropped cross terms
     for u in (0.0, 0.1, -0.25):
-        exp = classical.hermite_equilibrium_expansion(np.array([u]), 1.0 / 3.0, 2)
+        exp = oracles.hermite_equilibrium_expansion(np.array([u]), 1.0 / 3.0, 2)
         c = D1Q3.velocities[:, 0].astype(float)
         quad = 1.0 + 3.0 * c * u + 4.5 * (c * u) ** 2 - 1.5 * u * u
         assert np.max(np.abs(exp.bracket - quad)) < 1e-13
@@ -278,28 +280,28 @@ def test_hermite_bracket_matches_quadratic_equilibrium():
 def test_hermite_expansion_converges_to_maxwellian():
     u = np.array([0.15])
     target = np.array(
-        [classical.maxwell_boltzmann(c, u, 1.0 / 3.0) for c in D1Q3.velocities]
+        [oracles.maxwell_boltzmann(c, u, 1.0 / 3.0) for c in D1Q3.velocities]
     )
     errs = []
     for kmax in (1, 2, 4, 8):
-        exp = classical.hermite_equilibrium_expansion(u, 1.0 / 3.0, kmax)
+        exp = oracles.hermite_equilibrium_expansion(u, 1.0 / 3.0, kmax)
         errs.append(np.max(np.abs(exp.values - target)))
     assert all(b < a for a, b in zip(errs, errs[1:]))
     assert errs[-1] < 1e-8
 
 
 def test_hermite_expansion_rest_state():
-    exp = classical.hermite_equilibrium_expansion(np.zeros(2), 0.4, 6)
+    exp = oracles.hermite_equilibrium_expansion(np.zeros(2), 0.4, 6)
     assert np.array_equal(exp.values, exp.prefactor)  # bracket is identically 1
     with pytest.raises(ValueError):
-        classical.hermite_equilibrium_expansion(np.zeros(1), -0.1, 2)
+        oracles.hermite_equilibrium_expansion(np.zeros(1), -0.1, 2)
     with pytest.raises(ValueError):
-        classical.hermite_equilibrium_expansion(np.zeros(1), 0.3, -1)
+        oracles.hermite_equilibrium_expansion(np.zeros(1), 0.3, -1)
 
 
 def test_hermite_point_agrees_with_lattice_route():
     u = np.array([0.1, -0.05])
-    exp = classical.hermite_equilibrium_expansion(u, 1.0 / 3.0, 3)
+    exp = oracles.hermite_equilibrium_expansion(u, 1.0 / 3.0, 3)
     for i, c in enumerate(D2Q9.velocities):
-        v = classical.hermite_expansion_point(c.astype(float), u, 1.0 / 3.0, 3)
+        v = oracles.hermite_expansion_point(c.astype(float), u, 1.0 / 3.0, 3)
         assert abs(v - exp.values[i]) < 1e-14

