@@ -125,12 +125,6 @@ class DistributionField:
         """The C-contiguous (Q, *grid) buffer behind data."""
         return np.moveaxis(self.data, -1, 0)
 
-    @classmethod
-    def from_equilibrium(cls, model, rho, u):
-        rho = np.asarray(rho, dtype=float)
-        u = np.asarray(u, dtype=float)
-        return cls(model, _equilibrium(model, rho, u))
-
 
 def collide(fld, tau, dt):
     """One BGK relaxation step f <- f - (dt/tau)(f - feq) at every site.

@@ -36,9 +36,6 @@ class Lattice:
     weights: np.ndarray  # (Q,) float
     cs2: float
 
-    def weight_fractions(self):
-        return tuple(_weight(v) for v in self.velocities)
-
 
 def build_lattice(name):
     if name not in _NAMES:

@@ -13,7 +13,7 @@ floating-point mixing.
 """
 
 from dataclasses import dataclass
-from itertools import product
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,6 +46,11 @@ class GateStep:
             raise ValueError(f"duplicate qubit in gate on {self.target}")
         if any(s not in (0, 1) for _, s in self.controls):
             raise ValueError("control states must be 0 or 1")
+        # a tuple of int pairs, so every gate hashes as a key of the
+        # compiled-map cache
+        object.__setattr__(
+            self, "controls", tuple((int(q), int(s)) for q, s in self.controls)
+        )
 
     def dump(self):
         ctrl = " ".join(f"({q},{s})" for q, s in self.controls)
@@ -163,13 +168,16 @@ def stream_circuit(layout):
     return gates
 
 
+# A compiled map costs 8 bytes per basis state (0.5 MB at 16 qubits); a few
+# are in use at a time: one per layout for the full step, one per axis block.
+@lru_cache(maxsize=8)
 def _source_index(layout, steps):
-    """Basis index each output amplitude of a GateStep list comes from.
+    """Basis index each output amplitude of a tuple of GateSteps comes from.
 
     Each gate is a controlled permutation of basis indices: amplitudes
     swap between an index and the same index with the target bit flipped
     whenever the controls match.  Qubit 0 is the most significant index
-    bit.
+    bit.  The map is cached per (layout, gates) and returned read-only.
     """
     n = layout.total_qubits
     idx = np.arange(layout.dim)
@@ -177,13 +185,15 @@ def _source_index(layout, steps):
     for g in steps:
         if not 0 <= g.target < n:
             raise IndexOutOfRange(f"target {g.target} outside register {n}")
-        mask = np.ones(layout.dim, dtype=bool)
+        care = want = 0
         for q, s in g.controls:
             if not 0 <= q < n:
                 raise IndexOutOfRange(f"control {q} outside register {n}")
-            mask &= ((idx >> (n - 1 - q)) & 1) == s
-        flipped = idx ^ (1 << (n - 1 - g.target))
-        src[mask] = src[flipped[mask]]
+            care |= 1 << (n - 1 - q)
+            want |= s << (n - 1 - q)
+        hit = np.flatnonzero((idx & care) == want)
+        src[hit] = src[hit ^ (1 << (n - 1 - g.target))]
+    src.flags.writeable = False
     return src
 
 
@@ -194,7 +204,7 @@ def apply_circuit(state, layout, steps):
         raise ValueError(
             f"state must have shape ({layout.dim},), got {state.shape}"
         )
-    return state[_source_index(layout, steps)]
+    return state[_source_index(layout, tuple(steps))]
 
 
 def controlled_stream(state, layout, axis, sign):
@@ -209,15 +219,23 @@ def stream_state(state, layout):
 
 
 def site_index(layout, site, velocity):
-    """Basis index of a (site, direction) state, payload grounded."""
+    """Basis index of a (site, direction) state, payload grounded.
+
+    `site` holds one coordinate per axis, each an int or an integer array
+    (as from `np.indices(layout.grid_dims)`); ints give a Python int,
+    arrays an int64 index array of their broadcast shape.
+    """
     if len(site) != layout.ndim or len(velocity) != layout.ndim:
         raise ValueError(f"site {site} and velocity {velocity} need "
                          f"{layout.ndim} components each")
     index = 0
     for x, n, nbits in zip(site, layout.grid_dims, layout.position_bits):
-        if not 0 <= x < n:
+        x = int(x) if np.ndim(x) == 0 else np.asarray(x)
+        if np.any((x < 0) | (x >= n)):
             raise ValueError(f"site {site} outside grid {layout.grid_dims}")
-        index = (index << nbits) | int(x)
+        index = (index << nbits) | x
+    if np.ndim(index) and layout.total_qubits > 63:
+        raise ValueError(f"a {layout.total_qubits}-qubit index overflows int64")
     for c in velocity:
         index = (index << 2) | direction_code(c)
     return index << layout.payload_qubits
@@ -271,19 +289,16 @@ def equivalence_check(grid_dims, model):
         raise ValueError(
             f"grid has {layout.ndim} axes but the model has {model.D}"
         )
-    src = _source_index(layout, stream_circuit(layout))
-    sites = list(product(*(range(n) for n in layout.grid_dims)))
+    src = _source_index(layout, tuple(stream_circuit(layout)))
+    sites = np.indices(layout.grid_dims)
+    dims = np.reshape(layout.grid_dims, (-1,) + (1,) * layout.ndim)
     per_direction = {}
     for i in range(model.Q):
         v = tuple(int(c) for c in model.velocities[i])
-        passes = 0
-        for site in sites:
-            want = tuple(
-                (x + c) % n for x, c, n in zip(site, v, layout.grid_dims)
-            )
-            start = site_index(layout, site, v)
-            passes += int(src[site_index(layout, want, v)] == start)
-        per_direction[v] = (len(sites), passes)
+        want = (sites + np.reshape(v, dims.shape)) % dims
+        start = site_index(layout, sites, v)
+        passes = np.count_nonzero(src[site_index(layout, want, v)] == start)
+        per_direction[v] = (start.size, int(passes))
     return EquivalenceReport(
         cases=sum(c for c, _ in per_direction.values()),
         passes=sum(p for _, p in per_direction.values()),

@@ -9,7 +9,8 @@
   with gamma_n = n/2 gives the physicists' Hermite polynomials.
 - The truncated Gauss-Hermite expansion of the Maxwellian that motivates
   the quadratic BGK equilibrium.
-- The trace-closure mode-coupling tensors of a lattice.
+- The exact rational weights and the trace-closure mode-coupling
+  tensors of a lattice.
 - The commutator and the two one-sided null states of the truncated
   ladder operators.
 
@@ -24,7 +25,7 @@ import mpmath
 import numpy as np
 
 from qalb.errors import DimMismatch, QalbError, TooLarge
-from qalb.lattice import _NAMES, CS2, build_lattice
+from qalb.lattice import _NAMES, CS2, _weight, build_lattice
 
 
 class QuadratureFailure(QalbError):
@@ -393,6 +394,11 @@ class ModeCoupling:
         return self.L @ f + np.einsum("ijk,j,k->i", self.Qt, f, f)
 
 
+def weight_fractions(model):
+    """The lattice weights as exact Fractions, in velocity order."""
+    return tuple(_weight(v) for v in model.velocities)
+
+
 def mode_coupling(model):
     """Build L_ij = w_i (1 + c_i.c_j / cs2) and
     Qt_ijk = w_i (c_i.c_i - D cs2) (c_j.c_k) / (2 cs2^2).
@@ -404,7 +410,7 @@ def mode_coupling(model):
     """
     # entries depend on (j, k) only through the integer c_j.c_k in -D..D,
     # so each (i, c_j.c_k) pair is rounded from its rational exactly once
-    wfr = model.weight_fractions()
+    wfr = weight_fractions(model)
     c = model.velocities
     D = model.D
     dots = [Fraction(v) for v in range(-D, D + 1)]

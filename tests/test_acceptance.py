@@ -215,7 +215,7 @@ def test_criterion_06_logistic_truncation_ladder():
 def _exact_mode_tensors(name):
     """(weights, L, Qt) of the quadratic closure in exact rationals."""
     m = lattice.build_lattice(name)
-    w = m.weight_fractions()
+    w = oracles.weight_fractions(m)
     c = [tuple(int(x) for x in row) for row in m.velocities]
     Q, D = m.Q, m.D
     dot = lambda a, b: sum(x * y for x, y in zip(a, b))

@@ -46,6 +46,14 @@ def test_gate_step_validation():
         streaming.GateStep(target=0, controls=((1, 2),))
 
 
+def test_gate_from_control_list_hashes_and_applies():
+    lay = streaming.RegisterLayout((8,))
+    listed = streaming.GateStep(target=0, controls=[[1, 1], (np.int64(2), 1)])
+    assert listed.controls == ((1, 1), (2, 1))
+    assert hash(listed) == hash(streaming.GateStep(0, ((1, 1), (2, 1))))
+    assert _moved(lay, [listed], 0b011_00) == 0b111_00
+
+
 def test_increment_circuit_structure():
     gates = streaming.increment_circuit(3, 1)
     assert len(gates) == 3
@@ -128,6 +136,32 @@ def test_site_round_trip():
             streaming.decode_index(lay, lay.dim)
 
 
+@pytest.mark.parametrize(
+    "dims, payload, model", [((4, 4), 1, D2Q9), ((4, 4, 4), 0, D3Q27)]
+)
+def test_site_index_of_arrays_matches_scalars(dims, payload, model):
+    lay = streaming.RegisterLayout(dims, payload_qubits=payload)
+    sites = np.indices(dims)
+    for v in model.velocities.tolist():
+        index = streaming.site_index(lay, sites, v)
+        assert index.shape == dims
+        for site in product(*(range(n) for n in dims)):
+            assert index[site] == streaming.site_index(lay, site, v)
+    for axis in range(lay.ndim):
+        for bad in (-1, dims[axis]):
+            outside = sites.copy()
+            outside[(axis,) + (0,) * lay.ndim] = bad
+            with pytest.raises(ValueError):
+                streaming.site_index(lay, outside, (0,) * lay.ndim)
+
+
+def test_site_index_array_guards_int64_overflow():
+    lay = streaming.RegisterLayout((4,), payload_qubits=62)
+    assert streaming.site_index(lay, (3,), (1,)) == 0b11_11 << 62
+    with pytest.raises(ValueError):
+        streaming.site_index(lay, (np.arange(4),), (1,))
+
+
 def test_site_length_must_match_grid():
     lay = streaming.RegisterLayout((4, 4))
     for site, velocity in [((1,), (0,)), ((1, 2, 3), (0, 0, 0)),
@@ -196,12 +230,26 @@ def test_apply_circuit_guards():
     lay = streaming.RegisterLayout((4,))
     with pytest.raises(ValueError):
         streaming.apply_circuit(np.zeros(7), lay, [])
-    bad = [streaming.GateStep(target=99, controls=())]
-    with pytest.raises(IndexOutOfRange):
-        streaming.apply_circuit(np.zeros(lay.dim), lay, bad)
-    bad = [streaming.GateStep(target=0, controls=((99, 1),))]
-    with pytest.raises(IndexOutOfRange):
-        streaming.apply_circuit(np.zeros(lay.dim), lay, bad)
+    for bad in ([streaming.GateStep(target=99, controls=())],
+                [streaming.GateStep(target=0, controls=((99, 1),))]):
+        for _ in range(2):  # a failed compile is not cached
+            with pytest.raises(IndexOutOfRange):
+                streaming.apply_circuit(np.zeros(lay.dim), lay, bad)
+
+
+def test_compiled_map_is_cached_and_read_only():
+    lay = streaming.RegisterLayout((4, 4), payload_qubits=1)
+    steps = tuple(streaming.stream_circuit(lay))
+    src = streaming._source_index(lay, steps)
+    assert streaming._source_index(lay, steps) is src
+    with pytest.raises(ValueError):
+        src[0] = 1
+    rng = np.random.default_rng(15)
+    state = rng.standard_normal(lay.dim) + 1j * rng.standard_normal(lay.dim)
+    assert np.array_equal(
+        streaming.apply_circuit(state, lay, list(steps)),
+        streaming.apply_circuit(state, lay, steps),
+    )
 
 
 def test_equivalence_exhaustive_1d():
@@ -260,6 +308,8 @@ def _swap_axis0_signs(layout):
 def test_equivalence_catches_broken_circuit(
     monkeypatch, broken, fails, dims, model
 ):
+    # the true circuit's cached map must not answer for a broken one
+    assert streaming.equivalence_check(dims, model).all_pass
     monkeypatch.setattr(streaming, "stream_circuit", broken)
     report = streaming.equivalence_check(dims, model)
     assert report.passes < report.cases

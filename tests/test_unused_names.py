@@ -2,8 +2,8 @@
 assigns a local it never reads, no class defines a method, property or
 dataclass field that nothing reads, no module defines a top-level
 function, class or constant that nothing references, and every top-level
-function or class in src/ is reached by a run or named in
-`_KEPT_FOR_TESTS` with the reason it stays.
+function or class in src/, and every method or property of such a class,
+is reached by a run or named in `_KEPT_FOR_TESTS` with the reason it stays.
 
 A stand-in for a linter's unused-import, unused-variable and dead-code
 rules, read from each module's syntax tree so it runs without extra packages.
@@ -17,11 +17,13 @@ import pytest
 _ROOT = Path(__file__).resolve().parents[1]
 _SRC = _ROOT / "src" / "qalb"
 
-_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFINITIONS = _FUNCTIONS + (ast.ClassDef,)
 
 # Top-level functions and classes of src/ that no run reaches, each with
 # the reason it stays in the package rather than among the test oracles:
-# a program path is planned for it, or a kept name needs it.
+# a program path is planned for it, or a kept name needs it.  A kept class
+# keeps its methods and properties.
 _PAULI = "Pauli compilation, for a compile report (acceptance criterion 3)"
 _CARLEMAN = "Carleman embedding of the BGK rate (acceptance criterion 1)"
 _KEPT_FOR_TESTS = {
@@ -50,6 +52,10 @@ _KEPT_FOR_TESTS = {
     "engine.phase_space_divergence": "the exact divergence the engine matches",
     "fock.number_matrix": "the matrix pauli.compile_number compiles",
 }
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
 
 
 def _exported(tree):
@@ -133,7 +139,7 @@ def class_attributes(tree):
                 name = node.target.id
             else:
                 continue
-            if not (name.startswith("__") and name.endswith("__")):
+            if not _is_dunder(name):
                 found.append((cls.name, name, node.lineno))
     return found
 
@@ -183,7 +189,7 @@ def module_level_names(tree):
         found += [
             (name, node.lineno)
             for name in names
-            if not (name.startswith("__") and name.endswith("__"))
+            if not _is_dunder(name)
         ]
     return found
 
@@ -210,51 +216,82 @@ def unreferenced_names(defining, reading):
 
 
 def definitions(defining):
-    """{module.name: node} of every top-level function and class of
-    `defining` ({module: tree})."""
-    return {
-        f"{module}.{node.name}": node
-        for module, tree in defining.items()
-        for node in tree.body
-        if isinstance(node, _DEFINITIONS)
-    }
+    """{qualified name: node} of every top-level function and class of
+    `defining` ({module: tree}), and of every method and property of those
+    classes as `module.Class.name`."""
+    nodes = {}
+    for module, tree in defining.items():
+        for node in tree.body:
+            if isinstance(node, _DEFINITIONS):
+                nodes[f"{module}.{node.name}"] = node
+            if isinstance(node, ast.ClassDef):
+                nodes.update(
+                    (f"{module}.{node.name}.{item.name}", item)
+                    for item in node.body
+                    if isinstance(item, _FUNCTIONS)
+                )
+    return nodes
+
+
+def _owner(qual):
+    """Qualified class of a method; None for a top-level definition."""
+    return qual.rpartition(".")[0] if qual.count(".") == 2 else None
+
+
+def _definition_reads(node):
+    """Names a definition reads; a class reads its decorators, bases and
+    class-level statements, and its methods read their own."""
+    if not isinstance(node, ast.ClassDef):
+        return names_read(node)
+    parts = node.decorator_list + node.bases + [
+        item for item in node.body if not isinstance(item, _FUNCTIONS)
+    ]
+    return set().union(*map(names_read, parts))
 
 
 def reached_names(defining, roots, reading):
-    """Qualified names of the top-level functions and classes of
-    `defining` reached by name from the qualified `roots`, from each
-    module's top-level statements other than definitions, and from every
-    name the `reading` trees read; a reached definition reaches every name
-    it reads, in whichever module that name is defined."""
-    nodes, by_name = definitions(defining), {}
-    for qual in nodes:
-        by_name.setdefault(qual.partition(".")[2], []).append(qual)
-    read = set().union(*(names_read(tree) for tree in reading))
+    """Qualified names of the definitions of `defining` (see `definitions`)
+    reached from the qualified `roots`, from each module's top-level
+    statements other than definitions, and from every name the `reading`
+    trees read.  A top-level definition is reached when a reached
+    definition reads its name, in whichever module it is defined; a method
+    or property when its class is reached and some reached definition
+    reads its attribute name (dunder methods, which the language calls,
+    with their class alone)."""
+    nodes = definitions(defining)
+    reads = {qual: _definition_reads(node) for qual, node in nodes.items()}
+    base = set().union(*(names_read(tree) for tree in reading))
     for tree in defining.values():
-        read.update(
+        base.update(
             *(names_read(node) for node in tree.body
               if not isinstance(node, _DEFINITIONS))
         )
-    todo = list(roots) + [q for name in read for q in by_name.get(name, ())]
-    reached = set()
-    while todo:
-        qual = todo.pop()
-        if qual not in reached:
-            reached.add(qual)
-            todo += [
-                q for name in names_read(nodes[qual])
-                for q in by_name.get(name, ())
-            ]
-    return reached
+    reached = set(roots)
+    while True:
+        read = base.union(*(reads[qual] for qual in reached))
+        more = set()
+        for qual in nodes.keys() - reached:
+            name, owner = qual.rpartition(".")[2], _owner(qual)
+            if (owner is None and name in read) or (
+                owner in reached and (name in read or _is_dunder(name))
+            ):
+                more.add(qual)
+        if not more:
+            return reached
+        reached |= more
 
 
 def unreached_names(defining, roots, reading, kept):
     """Definitions reached by no run and not kept, plus kept entries that
-    are not defined or are reached after all."""
+    are not defined or are reached after all.  A kept class keeps its
+    methods."""
     defined = set(definitions(defining))
     reached = reached_names(defining, roots, reading)
+    unreached = {
+        q for q in defined - reached - set(kept) if _owner(q) not in kept
+    }
     return (
-        [f"{q} is unreached" for q in sorted(defined - reached - set(kept))]
+        [f"{q} is unreached" for q in sorted(unreached)]
         + [f"{q} is kept but not defined" for q in sorted(set(kept) - defined)]
         + [f"{q} is kept but reached" for q in sorted(set(kept) & reached)]
     )
@@ -387,7 +424,7 @@ def test_reachability_check_catches_unreached_and_stale():
         "def main():\n"
         "    return TABLE\n"
         "def run():\n"
-        "    return helper()\n"
+        "    return helper().size()\n"
         "if __name__ == '__main__':\n"
         "    main()\n"
     )
@@ -395,8 +432,20 @@ def test_reachability_check_catches_unreached_and_stale():
         "def helper():\n"
         "    return Box()\n"
         "class Box:\n"
+        "    def __init__(self):\n"
+        "        self.n = counted()\n"
         "    def size(self):\n"
         "        return measured()\n"
+        "    def spare(self):\n"
+        "        return oracle_only()\n"
+        "class Unused:\n"
+        "    def size(self):\n"
+        "        return planted()\n"
+        "class Kept:\n"
+        "    def spare(self):\n"
+        "        pass\n"
+        "def counted():\n"
+        "    pass\n"
         "def measured():\n"
         "    pass\n"
         "def benched():\n"
@@ -409,11 +458,15 @@ def test_reachability_check_catches_unreached_and_stale():
     bench = ast.parse("import mod\nmod.benched()\n")
     defining = {"cli": cli, "mod": mod}
     assert reached_names(defining, ["cli.main"], [bench]) == {
-        "cli.main", "cli.run", "mod.helper", "mod.Box", "mod.measured",
-        "mod.benched",
+        "cli.main", "cli.run", "mod.helper", "mod.Box", "mod.Box.__init__",
+        "mod.counted", "mod.Box.size", "mod.measured", "mod.benched",
     }
-    kept = {"mod.oracle_only": "test", "mod.gone": "test", "mod.helper": "test"}
+    kept = {"mod.oracle_only": "test", "mod.gone": "test", "mod.helper": "test",
+            "mod.Kept": "test"}
     assert unreached_names(defining, ["cli.main"], [bench], kept) == [
+        "mod.Box.spare is unreached",
+        "mod.Unused is unreached",
+        "mod.Unused.size is unreached",
         "mod.planted is unreached",
         "mod.gone is kept but not defined",
         "mod.helper is kept but reached",
