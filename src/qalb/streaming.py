@@ -207,15 +207,27 @@ def apply_circuit(state, layout, steps):
     return state[_source_index(layout, tuple(steps))]
 
 
+# Gate tuples are built and validated once per layout (and axis and sign),
+# so a repeated step goes straight to the compiled-map lookup.
+@lru_cache(maxsize=8)
+def _stream_gates(layout):
+    return tuple(stream_circuit(layout))
+
+
+@lru_cache(maxsize=16)
+def _axis_gates(layout, axis, sign):
+    return tuple(axis_block(layout, axis, sign))
+
+
 def controlled_stream(state, layout, axis, sign):
     """Shift one axis of an encoded state by one site, conditioned on the
     matching direction code; all other amplitudes are untouched."""
-    return apply_circuit(state, layout, axis_block(layout, axis, sign))
+    return apply_circuit(state, layout, _axis_gates(layout, axis, sign))
 
 
 def stream_state(state, layout):
     """One full streaming step: every axis, both signs."""
-    return apply_circuit(state, layout, stream_circuit(layout))
+    return apply_circuit(state, layout, _stream_gates(layout))
 
 
 def site_index(layout, site, velocity):

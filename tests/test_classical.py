@@ -1,5 +1,7 @@
 """BGK collision, periodic streaming, and the Hermite route to equilibrium."""
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -124,7 +126,15 @@ def _reference_step(f, model, tau, dt):
 
 
 @pytest.mark.parametrize(
-    "name, grid", [("D1Q3", (64,)), ("D2Q9", (16, 12)), ("D3Q27", (6, 5, 4))]
+    "name, grid",
+    [
+        ("D1Q3", (64,)),
+        ("D2Q9", (16, 12)),
+        ("D3Q27", (6, 5, 4)),
+        # more sites than one collide block, the last block partial
+        ("D2Q9", (97, 89)),
+        ("D3Q27", (19, 17, 15)),
+    ],
 )
 def test_step_matches_site_major_reference(name, grid):
     m = lattice.build_lattice(name)
@@ -142,6 +152,33 @@ def test_step_matches_site_major_reference(name, grid):
     assert abs(fld.data.sum() - mass) < 1e-12 * mass
     assert np.max(np.abs(after.sum(axis=0) - momentum.sum(axis=0))) < 1e-12 * mass
     assert np.array_equal(data, kept)  # input untouched
+
+
+def test_collide_guards_reach_the_last_block():
+    data = np.full((97, 89, 9), 1.0 / 9.0)
+    for sites in (97 * 89, 19 * 17 * 15):  # the multi-block reference grids
+        assert sites > classical._BLOCK_SITES and sites % classical._BLOCK_SITES
+    data[-1, -1] = 0.0
+    with pytest.raises(ZeroDensity):
+        classical.collide(classical.DistributionField(D2Q9, data), 0.8, 1.0)
+    data[-1, -1] = 1e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            classical.collide(classical.DistributionField(D2Q9, data), 0.8, 1.0)
+
+
+def test_collide_allocates_no_full_size_temporary():
+    # the output is one field's bytes; a full-size temporary adds another
+    data = D2Q9.weights * np.random.default_rng(7).uniform(0.8, 1.2, (256, 256, 9))
+    fld = classical.DistributionField(D2Q9, data)
+    classical.collide(fld, 0.8, 1.0)  # warm
+    tracemalloc.start()
+    try:
+        classical.collide(fld, 0.8, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * data.nbytes
 
 
 def test_step_keeps_direction_major_planes():

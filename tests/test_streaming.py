@@ -252,6 +252,31 @@ def test_compiled_map_is_cached_and_read_only():
     )
 
 
+def test_warm_stream_builds_no_gate_list(monkeypatch):
+    lay = streaming.RegisterLayout((8, 8))
+    state = np.random.default_rng(16).standard_normal(lay.dim) + 0j
+    want = streaming.stream_state(state, lay)
+    moved = streaming.controlled_stream(state, lay, 1, -1)
+    # bit for bit what freshly built gate lists give
+    fresh = streaming.apply_circuit(state, lay, streaming.stream_circuit(lay))
+    assert np.array_equal(want, fresh)
+    fresh = streaming.apply_circuit(state, lay, streaming.axis_block(lay, 1, -1))
+    assert np.array_equal(moved, fresh)
+    calls = []
+
+    def counted(name, build):
+        def wrapper(*args):
+            calls.append(name)
+            return build(*args)
+        return wrapper
+
+    for name in ("stream_circuit", "axis_block"):
+        monkeypatch.setattr(streaming, name, counted(name, getattr(streaming, name)))
+    assert np.array_equal(streaming.stream_state(state, lay), want)
+    assert np.array_equal(streaming.controlled_stream(state, lay, 1, -1), moved)
+    assert calls == []
+
+
 def test_equivalence_exhaustive_1d():
     report = streaming.equivalence_check((8,), D1Q3)
     assert report.cases == 24
