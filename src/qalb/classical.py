@@ -120,7 +120,11 @@ class DistributionField:
     data is the (*grid, Q) array callers read.  It is an np.moveaxis view
     of the C-contiguous (Q, *grid) buffer `planes`, so each population is
     one contiguous plane.  Site-major input is copied into that layout
-    once, here; fields returned by collide and stream need no copy.
+    once, here; fields returned by collide and stream need no copy.  The
+    buffer is read-only and holds finite entries: every field is checked,
+    except stream's output, which moves the values of a field already
+    checked (_streamed).  Direction-major input is used without a copy, so
+    its owner must not write to it afterwards.
     """
 
     model: object
@@ -137,12 +141,23 @@ class DistributionField:
         planes = np.ascontiguousarray(np.moveaxis(data, -1, 0))
         if not np.all(np.isfinite(planes)):
             raise ValueError("field entries must be finite")
+        planes.setflags(write=False)
         object.__setattr__(self, "data", np.moveaxis(planes, 0, -1))
 
     @property
     def planes(self):
         """The C-contiguous (Q, *grid) buffer behind data."""
         return np.moveaxis(self.data, -1, 0)
+
+
+def _streamed(model, planes):
+    """The field on a (Q, *grid) buffer of values moved from a checked
+    field, made read-only without a second finiteness scan."""
+    planes.setflags(write=False)
+    fld = object.__new__(DistributionField)
+    object.__setattr__(fld, "model", model)
+    object.__setattr__(fld, "data", np.moveaxis(planes, 0, -1))
+    return fld
 
 
 def collide(fld, tau, dt):
@@ -202,7 +217,8 @@ def stream(fld):
     Each plane is copied in its periodic blocks straight into its output
     plane, with no rolled temporary.  Copies move bit patterns untouched,
     so the transport is exact and the global multiset of stored values is
-    preserved.  Returns a new field.
+    preserved.  Returns a new field, not scanned again for finite
+    entries.
     """
     m = fld.model
     src = fld.planes
@@ -210,7 +226,7 @@ def stream(fld):
     for i in range(m.Q):
         for dst, sl in _periodic_blocks(m.velocities[i], src.shape[1:]):
             out[i][dst] = src[i][sl]
-    return DistributionField(m, np.moveaxis(out, 0, -1))
+    return _streamed(m, out)
 
 
 def step(fld, tau, dt):

@@ -72,7 +72,8 @@ class CollisionSetup:
     """A lattice model bound to per-mode registers and a relaxation clock.
 
     modes counts the encoded populations (one bosonic mode each);
-    each mode's propagator and certificate are memoized on the instance.
+    each mode's propagator and certificate, and at n <= _DENSE_DIM the
+    generator sum both modes are built from, are memoized on the instance.
     """
 
     model: object
@@ -154,22 +155,29 @@ def omega_operator(setup, i):
 
 def generator(setup, mode):
     """Real G with propagator = expm(dt G): sum_i P_i Omega_i, or its
-    antisymmetric half (G - G^T)/2 in hermitized mode."""
+    antisymmetric half (G - G^T)/2 in hermitized mode.  The sum is
+    memoized on the setup, read-only, at n <= _DENSE_DIM, where both
+    modes' propagators read it."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    rate = classical.bgk_rate(setup.model, setup.tau)
-    terms = {}
-    for i in range(setup.modes):
-        terms.update(_terms(rate, i, p_mode=i))
-    G = _kron_sum(terms, _factors(setup.cfg))
+    G = setup._cache.get("G")
+    if G is None:
+        rate = classical.bgk_rate(setup.model, setup.tau)
+        terms = {}
+        for i in range(setup.modes):
+            terms.update(_terms(rate, i, p_mode=i))
+        G = _kron_sum(terms, _factors(setup.cfg))
+        if setup.dim <= _DENSE_DIM:
+            G.setflags(write=False)
+            setup._cache["G"] = G
     return G if mode == "nonhermitian" else 0.5 * (G - G.T)
 
 
 def _dense(setup, mode):
     """A = dt G of one collision mode, memoized on the setup at
     n <= _DENSE_DIM, where the propagator and, in nonhermitian mode, the
-    certificate read it; above, only the certificate's memoized dense
-    fallback reads it."""
+    certificate read it, until the propagator exists; above, only the
+    certificate's memoized dense fallback reads it."""
     A = setup._cache.get(("A", mode))
     if A is None:
         A = setup.dt * generator(setup, mode)
@@ -182,13 +190,15 @@ def propagator(setup, mode):
     """One-step propagator expm(dt G) = expm(-i dt H), a real matrix,
     memoized on the setup, for a register of n <= _DENSE_DIM amplitudes;
     TooLarge above, where the march goes in the q-eigenbasis.  The
-    certificate is taken first, from the same build of A."""
+    certificate is taken first, from the same build of A, which nothing
+    reads once U exists."""
     if setup.dim > _DENSE_DIM:
         raise TooLarge(f"no dense propagator above {_DENSE_DIM} amplitudes")
     key = ("propagator", mode)
     if key not in setup._cache:
         certificate(setup, mode)
         setup._cache[key] = expm(_dense(setup, mode))
+        del setup._cache[("A", mode)]
     return setup._cache[key]
 
 

@@ -211,6 +211,33 @@ def test_step_guards():
             classical.step(classical.DistributionField(D2Q9, data), 0.8, 1.0)
 
 
+def test_step_scans_only_the_collided_field(monkeypatch):
+    # stream moves the values of a checked field, so a step scans only the
+    # collide output for finite entries
+    fld = classical.DistributionField(D2Q9, np.full((4, 4, 9), 1.0 / 9.0))
+    shapes = []
+    real = np.isfinite
+
+    def counted(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counted)
+    classical.step(fld, 0.8, 1.0)
+    assert shapes == [(9, 4, 4)]
+
+
+def test_fields_are_read_only():
+    # stream skips the scan because no field's values can change after
+    # they were checked: outside input, collide's and stream's output
+    fld = classical.DistributionField(D2Q9, np.full((4, 4, 9), 1.0 / 9.0))
+    collided = classical.collide(fld, 0.8, 1.0)
+    for f in (fld, collided, classical.stream(collided)):
+        for view in (f.data, f.planes):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0, 0] = np.nan
+
+
 def test_evolve_0d_shape_and_first_step():
     f0 = np.array([0.6, 0.1, 0.3])
     hist = classical.evolve_0d(f0, D1Q3, 1.0, 0.1, 20)

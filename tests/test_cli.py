@@ -38,6 +38,37 @@ def test_fmt_cells(value, text):
     assert cli._fmt(value) == text
 
 
+def test_write_csv_bytes(tmp_path):
+    # a float array goes through one "%.17g" template, other rows through
+    # _fmt: the bytes are the same either way
+    nan, inf = float("nan"), float("inf")
+    table = np.array(
+        [
+            [nan, inf, -inf, -0.0, 1e-300],
+            [0.1, 2.0 / 3.0, 1e300, -2.5, 3.0],
+            [5e-324, -1e-300, 1.0, 2.0, 2.0**70],
+        ]
+    )
+    want = (
+        b"a,b,c,d,e\n"
+        b"nan,inf,-inf,-0,1e-300\n"
+        b"0.10000000000000001,0.66666666666666663,1.0000000000000001e+300,"
+        b"-2.5,3\n"
+        b"4.9406564584124654e-324,-1e-300,1,2,1.1805916207174113e+21\n"
+    )
+    header = list("abcde")
+    path = tmp_path / "t.csv"
+    cli.write_csv(str(path), header, table)
+    assert path.read_bytes() == want
+    cli.write_csv(str(path), header, table.tolist())
+    assert path.read_bytes() == want
+    mixed = [["x", 2**70, None, True, (1, 2.5)], [np.float64(0.5)]]
+    cli.write_csv(str(path), header, mixed)
+    assert path.read_bytes() == (
+        b"a,b,c,d,e\nx,1180591620717411303424,,1,1,2.5\n0.5\n"
+    )
+
+
 def test_parse_config_text():
     raw = cli.parse_config_text("tau = 1.5\n# note\nsteps=3\n", "cfg")
     assert raw["tau"] == ("1.5", "cfg:1")
@@ -240,6 +271,27 @@ def test_streaming_demo(tmp_path, capsys):
     assert rows[start : start + 4] == walk
     assert "NW,(2,2),(1,2),(1,3)" in rows
     assert "SW,(2,2),(1,2),(1,2)" in rows
+
+
+def test_quantum_builds_one_generator_per_qc(tmp_path, monkeypatch):
+    # both modes of a qc share one setup, so one build of its generator
+    from qalb import engine
+
+    calls = []
+    real = engine._factors
+
+    def counting(cfg):
+        calls.append(cfg.qubits)
+        return real(cfg)
+
+    monkeypatch.setattr(engine, "_factors", counting)
+    out = tmp_path / "q.csv"
+    code = cli.main(
+        ["quantum", "--set", "steps=3", "--set", "qc=1,2",
+         "--set", "mode=both", "--out", str(out)]
+    )
+    assert code == 0
+    assert calls == [1, 2]
 
 
 def test_quantum_flagged_exit_code(tmp_path, monkeypatch):

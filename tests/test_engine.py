@@ -318,6 +318,26 @@ def test_generator_built_once_per_mode(monkeypatch):
     assert sorted(calls) == sorted(engine.MODES)
 
 
+def test_modes_share_one_generator_sum(monkeypatch):
+    # at n <= 512 both modes of a setup read one read-only build of the sum,
+    # and no A is kept once its propagator exists
+    calls = []
+    real = engine._factors
+
+    def counting(cfg):
+        calls.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(engine, "_factors", counting)
+    s = _setup(2)
+    for mode in engine.MODES:
+        engine.evolve_quantum_0d(s, F0, 3, mode=mode)
+        assert ("A", mode) not in s._cache
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="read-only"):
+        engine.generator(s, "nonhermitian")[0, 0] = 0.0
+
+
 def test_hermitized_certificate_builds_nothing(monkeypatch):
     # the hermitized A is exactly antisymmetric, so sigma is 1 at every
     # register size without a build of dt G
@@ -468,6 +488,7 @@ def test_dimension_rule(name, qubits, q_basis):
             with pytest.raises(TooLarge):
                 engine.propagator(s, mode)
     assert ("q_form" in s._cache) == q_basis
+    assert ("G" in s._cache) != q_basis
 
 
 @pytest.fixture(scope="module")
@@ -543,10 +564,10 @@ def test_qc4_certificate_branches(monkeypatch, dt, branch, qc4):
     assert abs(weyl / dt - 68.4) < 0.1 and abs(low / dt - 37.2) < 0.1
     sigma, bound, flagged = engine.certificate(s, "nonhermitian")
     threshold = bound * engine.CERTIFICATE_MARGIN
-    # only the dense fallback builds A, and it does not keep it: its
-    # certificate is memoized
+    # only the dense fallback builds A, and it keeps neither A nor the
+    # generator sum: its certificate is memoized
     assert calls == (["nonhermitian"] if branch == "dense" else [])
-    assert ("A", "nonhermitian") not in s._cache
+    assert ("A", "nonhermitian") not in s._cache and "G" not in s._cache
     if branch != "dense":
         assert sigma == np.exp(weyl)
     assert flagged == (branch == "rayleigh")
