@@ -44,11 +44,6 @@ class LogisticParams:
         """Fixed point a/b separating decay from blow-up."""
         return self.a / self.b
 
-    @property
-    def R(self):
-        """Inverse fixed point b/a; R*f0 is the blow-up proximity knob."""
-        return self.b / self.a
-
 
 def singular_time(p):
     """Blow-up time of the logistic solution, inf when none exists.

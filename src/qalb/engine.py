@@ -173,32 +173,15 @@ def generator(setup, mode):
     return G if mode == "nonhermitian" else 0.5 * (G - G.T)
 
 
-def _dense(setup, mode):
-    """A = dt G of one collision mode, memoized on the setup at
-    n <= _DENSE_DIM, where the propagator and, in nonhermitian mode, the
-    certificate read it, until the propagator exists; above, only the
-    certificate's memoized dense fallback reads it."""
-    A = setup._cache.get(("A", mode))
-    if A is None:
-        A = setup.dt * generator(setup, mode)
-        if setup.dim <= _DENSE_DIM:
-            setup._cache[("A", mode)] = A
-    return A
-
-
 def propagator(setup, mode):
     """One-step propagator expm(dt G) = expm(-i dt H), a real matrix,
     memoized on the setup, for a register of n <= _DENSE_DIM amplitudes;
-    TooLarge above, where the march goes in the q-eigenbasis.  The
-    certificate is taken first, from the same build of A, which nothing
-    reads once U exists."""
+    TooLarge above, where the march goes in the q-eigenbasis."""
     if setup.dim > _DENSE_DIM:
         raise TooLarge(f"no dense propagator above {_DENSE_DIM} amplitudes")
     key = ("propagator", mode)
     if key not in setup._cache:
-        certificate(setup, mode)
-        setup._cache[key] = expm(_dense(setup, mode))
-        del setup._cache[("A", mode)]
+        setup._cache[key] = expm(setup.dt * generator(setup, mode))
     return setup._cache[key]
 
 
@@ -382,7 +365,7 @@ def certificate(setup, mode):
             if weyl <= threshold or exp(_rayleigh_bound(setup)) > threshold:
                 sigma = weyl
         if sigma is None:
-            A = _dense(setup, mode)
+            A = setup.dt * generator(setup, mode)
             S = np.add(A, A.T)
             S *= 0.5
             sigma = exp(_lambda_max_bound(S))

@@ -1,58 +1,26 @@
-"""Dense matrix exponential and the action of the exponential on vectors.
+"""Matrix exponential, dense and as an action on vectors, from one
+truncated Taylor series: degree m and s substeps chosen from the 1-norm by
+the theta_m table and fewest-products rule of Al-Mohy and Higham,
+"Computing the action of the matrix exponential, with an application to
+exponential integrators", SIAM J. Sci. Comput. 33 (2011) 488.
 
-`expm` is a Pade approximant of degree 3 to 13 chosen from the 1-norm, with
-scaling and squaring past theta_13 (Higham, "The scaling and squaring
-method for the matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26
-(2005) 1179).
+`expm` forms T_m(A / s)^s, T_m in about 2 sqrt(m) products (Paterson and
+Stockmeyer, "On the number of nonscalar multiplications necessary to
+evaluate polynomials", SIAM J. Comput. 2 (1973) 60), its s-th power in at
+most 2 log2(s).  `expm_action` forms exp(A) B from m s products with A.
 
-`expm_action` forms exp(A) B without exp(A): a Taylor series of degree m
-applied in s substeps, m and s chosen from the 1-norm, stopped early once
-two successive terms are negligible (Al-Mohy and Higham, "Computing the
-action of the matrix exponential, with an application to exponential
-integrators", SIAM J. Sci. Comput. 33 (2011) 488).  It costs m s products
-with A, against the dense build's O(n^3) flops.
-
-Self-contained so the propagator construction has no behavior hidden behind
-a library version; accuracy is checked in tests against scipy and via
-exp(A) exp(-A) = I.
+Self-contained, so the propagator has no behavior hidden behind a library
+version; tests check accuracy against scipy and via exp(A) exp(-A) = I.
 """
 
 from functools import lru_cache
+from math import factorial, isqrt
 
 import numpy as np
 
 from .errors import DimMismatch, NonFinite, TooLarge
 
 _MAX_DIM = 4096  # largest dense matrix, and so engine's largest register
-
-# Largest 1-norm for which the degree-m approximant is accurate to unit
-# roundoff in double precision (Higham 2005, Table 2.3).
-_THETA = {
-    3: 1.495585217958292e-2,
-    5: 2.539398330063230e-1,
-    7: 9.504178996162932e-1,
-    9: 2.097847961257068e0,
-    13: 5.371920351148152e0,
-}
-
-# Pade coefficients b_0 .. b_m of each degree, constant term first.
-_B = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0,
-        1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0,
-         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
-         16380.0, 182.0, 1.0),
-}
-
-# Even powers A^2 .. A^(2k) formed for each degree.  Terms above A^(2k) are
-# grouped as A^(2k) (...): at degree 13 that avoids A^8 .. A^12, and at
-# degree 9 it keeps A^6 and A^8 out of memory for the same five products.
-_POWERS = {3: 1, 5: 2, 7: 3, 9: 2, 13: 3}
 
 # Largest 1-norm of A / s for which the degree-m Taylor series of
 # exp(A / s) b has backward error at most unit roundoff in double precision:
@@ -73,62 +41,43 @@ _NORM_ROWS = 32
 
 
 def expm(A):
-    """exp(A) in a new array, each product one np.matmul into reused
-    buffers.  A is never written: it is copied only to convert it to
-    float64 or complex128, or to scale it."""
+    """exp(A) in a new array, as T_m(A / s)^s: T_m the degree-m Taylor
+    polynomial, (m, s) = taylor_degree(||A||_1).  A is never written.
+
+    With X = A / s and p = ceil(sqrt(m + 1)), T_m(X) is summed by Horner's
+    rule in X^p over blocks of p terms, each one vector-matrix product of
+    its 1/k! with the stacked X^0 .. X^p: p - 1 + (m - 1) // p products.
+    """
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimMismatch(f"expm needs a square matrix, got shape {A.shape}")
     n = A.shape[0]
     if n > _MAX_DIM:
         raise TooLarge(f"matrix dimension {n} exceeds {_MAX_DIM}")
-    if not np.all(np.isfinite(A)):
-        raise NonFinite("matrix contains non-finite entries")
-    dtype = np.complex128 if np.iscomplexobj(A) else np.float64
-    A = A.astype(dtype, copy=False)
-    if n == 0:
-        return A.copy()
+    A = A.astype(complex if np.iscomplexobj(A) else float, copy=False)
+    # a NaN or inf entry makes its column sum, and so the norm, non-finite
     norm = onenorm(A)
-    m = next((k for k, theta in _THETA.items() if norm <= theta), 13)
-    s = 0
-    if norm > _THETA[13]:
-        s = int(np.ceil(np.log2(norm / _THETA[13])))
-        A = A / 2.0 ** s
-    # At most seven full-size buffers, reused.
-    powers = [np.matmul(A, A, out=np.empty_like(A))]
-    while len(powers) < _POWERS[m]:
-        powers.append(np.matmul(powers[0], powers[-1], out=np.empty_like(A)))
-    tmp = np.empty_like(A)
-    V = _pade_sum(powers, _B[m][0::2], np.empty_like(A), tmp)
-    W = _pade_sum(powers, _B[m][1::2], np.empty_like(A), tmp)
-    U = np.matmul(A, W, out=tmp)
-    VmU = np.subtract(V, U, out=powers[0])
-    V += U
-    del powers, W, U, tmp  # the solve allocates three more full-size arrays
-    R = np.linalg.solve(VmU, V)
-    spare = VmU
-    for _ in range(s):
-        R, spare = np.matmul(R, R, out=spare), R
-    return R
-
-
-def _pade_sum(powers, c, out, tmp):
-    """sum_j c[j] A^(2j) into out, from powers = [A^2, .., A^(2k)], using
-    tmp as scratch.  Terms past A^(2k) are grouped as
-    A^(2k) (c[k+1] A^2 + c[k+2] A^4 + ...), so no higher power is formed."""
-    k = len(powers)
-    if len(c) > k + 1:
-        np.multiply(powers[0], c[k + 1], out=tmp)
-        for P, ck in zip(powers[1:], c[k + 2 :]):
-            tmp += np.multiply(P, ck, out=out)
-        np.matmul(powers[-1], tmp, out=out)
-        out += np.multiply(powers[0], c[1], out=tmp)
-    else:
-        np.multiply(powers[0], c[1], out=out)
-    for P, ck in zip(powers[1:], c[2:]):
-        out += np.multiply(P, ck, out=tmp)
-    out.reshape(-1)[:: out.shape[0] + 1] += c[0]  # + c0 I, on a view
-    return out
+    if not np.isfinite(norm):
+        raise NonFinite("matrix has a non-finite entry or 1-norm")
+    m, s = taylor_degree(norm)
+    if m == 0:
+        return np.eye(n, dtype=A.dtype)
+    p = isqrt(m) + 1  # ceil(sqrt(m + 1))
+    r = (m - 1) // p  # Horner steps; the last block is c_rp .. c_m
+    c = np.array([1.0 / factorial(k) for k in range(m + 1)])
+    X = np.empty((min(p, m) + 1, n, n), A.dtype)
+    X[0] = np.eye(n)
+    np.divide(A, s, out=X[1])
+    for i in range(2, len(X)):
+        np.matmul(X[i - 1], X[1], out=X[i])
+    flat = X.reshape(len(X), -1)
+    R, spare = np.empty_like(X[0]), np.empty_like(X[0])
+    np.matmul(c[r * p :], flat[: m + 1 - r * p], out=R.reshape(-1))
+    for j in range(r - 1, -1, -1):
+        np.matmul(R, X[p], out=spare)
+        np.matmul(c[j * p : (j + 1) * p], flat[:p], out=R.reshape(-1))
+        R += spare
+    return np.linalg.matrix_power(R, s)
 
 
 def onenorm(A):
@@ -148,16 +97,18 @@ def onenorm(A):
 
 @lru_cache
 def taylor_degree(norm):
-    """(m, s) for the action of exp(A) with ||A||_1 = norm: the degree m of
-    _THETA_TAYLOR and s = ceil(norm / theta_m) substeps that together take
-    the fewest products with A, m s; the smaller m on a tie.  (0, 1) at
-    norm 0, where exp(A) = I.  Memoized: a march passes one norm per step."""
+    """(m, s) for exp(A), dense or as an action, with ||A||_1 = norm: the
+    degree m of _THETA_TAYLOR and s = ceil(norm / theta_m) substeps with the
+    fewest products with A, m s; the smaller m on a tie.  (0, 1) at norm 0,
+    where exp(A) = I.  Memoized: a march passes one norm per step."""
     if norm == 0.0:
         return 0, 1
-    return min(
-        ((m, int(np.ceil(norm / theta))) for m, theta in _THETA_TAYLOR.items()),
+    # s stays a float until chosen: norm / theta_1 overflows past 4e292
+    m, s = min(
+        ((m, np.ceil(norm / theta)) for m, theta in _THETA_TAYLOR.items()),
         key=lambda ms: ms[0] * ms[1],
     )
+    return m, int(s)
 
 
 def expm_action(A, B, norm=None):
@@ -190,8 +141,7 @@ def expm_action(A, B, norm=None):
                 f"cannot apply a {A.shape} matrix to an operand of shape "
                 f"{B.shape}"
             )
-        # a NaN or inf entry makes its column sum, and so the norm,
-        # non-finite
+        # a NaN or inf entry makes its column sum, and so the norm, non-finite
         if norm is None:
             norm = onenorm(A)
         apply, dtype = A.__matmul__, np.result_type(A, B, np.float64)

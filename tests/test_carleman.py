@@ -16,7 +16,7 @@ P_SMALL = carleman.LogisticParams(a=1.0, b=1.0, f0=0.01)
 
 def test_params_and_fixed_point():
     p = carleman.LogisticParams(a=2.0, b=0.5, f0=1.0)
-    assert p.K == 4.0 and p.R == 0.25
+    assert p.K == 4.0
     with pytest.raises(ValueError):
         carleman.LogisticParams(a=-1.0, b=1.0, f0=0.1)
     with pytest.raises(ValueError):

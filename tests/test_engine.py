@@ -301,13 +301,16 @@ def test_lambda_max_bound_grows_delta_when_cholesky_fails(monkeypatch):
 
 
 def test_generator_built_once_per_mode(monkeypatch):
-    # the propagator and the certificate of a mode share one build of dt G
+    # the nonhermitian propagator and certificate each read the memoized
+    # sum; the hermitized half is built once, by the propagator, since its
+    # certificate builds nothing; repeats and the march build none
     calls = []
     real = engine.generator
 
     def counting(setup, mode):
-        calls.append(mode)
-        return real(setup, mode)
+        G = real(setup, mode)
+        calls.append((mode, G is setup._cache.get("G")))
+        return G
 
     monkeypatch.setattr(engine, "generator", counting)
     s = _setup(2)
@@ -315,7 +318,9 @@ def test_generator_built_once_per_mode(monkeypatch):
         engine.propagator(s, mode)
         engine.certificate(s, mode)
         engine.evolve_quantum_0d(s, F0, 3, mode=mode)
-    assert sorted(calls) == sorted(engine.MODES)
+    assert sorted(calls) == [
+        ("hermitized", False), ("nonhermitian", True), ("nonhermitian", True)
+    ]
 
 
 def test_modes_share_one_generator_sum(monkeypatch):

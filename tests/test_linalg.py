@@ -10,18 +10,6 @@ from qalb import engine, lattice, linalg
 from qalb.errors import DimMismatch, NonFinite, TooLarge
 
 
-# Higham (2005), Table 2.3: the largest 1-norm at which Pade degree m is
-# accurate to unit roundoff; written out here so a wrong table in linalg
-# shows as a wrong degree
-THETA = {
-    3: 1.495585217958292e-2,
-    5: 2.539398330063230e-1,
-    7: 9.504178996162932e-1,
-    9: 2.097847961257068e0,
-    13: 5.371920351148152e0,
-}
-
-
 def test_expm_zero_and_identity():
     assert np.max(np.abs(linalg.expm(np.zeros((4, 4))) - np.eye(4))) < 1e-15
     out = linalg.expm(np.eye(3))
@@ -58,17 +46,17 @@ def test_expm_leaves_argument_unchanged(scale, complex_input):
     a = scale * rng.standard_normal((12, 12))
     if complex_input:
         a = a + 1j * scale * rng.standard_normal((12, 12))
-    # both sides of theta_13, so the scaling branch runs for the large one
-    assert (np.linalg.norm(a, 1) > THETA[13]) == (scale > 0.5)
+    # the large one takes substeps, so the s-th power runs too
+    assert (linalg.taylor_degree(linalg.onenorm(a))[1] > 1) == (scale > 0.5)
     before = a.copy()
     linalg.expm(a)
     assert np.array_equal(a, before)
 
 
-@pytest.mark.parametrize("n, scale", [(12, 0.1), (12, 1.0), (0, 1.0)])
+@pytest.mark.parametrize("n, scale", [(12, 0.1), (12, 1.0), (0, 1.0), (12, 0.0)])
 def test_expm_result_never_shares_the_argument(n, scale):
-    # A is copied only to scale it, so neither the unscaled path nor n = 0
-    # may hand the argument (or a view of it) back
+    # neither one step (s = 1), n = 0 nor the zero matrix (exp = I) may
+    # hand the argument (or a view of it) back
     a = scale * np.random.default_rng(9).standard_normal((n, n))
     out = linalg.expm(a)
     assert out is not a and out.base is not a
@@ -85,35 +73,38 @@ def _scaled(rng, n, norm, complex_input, band=None):
     return a * (norm / np.linalg.norm(a, 1))
 
 
-@pytest.mark.parametrize("m", sorted(THETA))
+def _check_expm(a):
+    before = a.copy()
+    ref = scipy.linalg.expm(a)
+    got = linalg.expm(a)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.array_equal(a, before)
+    inverse = got @ linalg.expm(-a)
+    assert np.max(np.abs(inverse - np.eye(len(a)))) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 9, 12, 13, 17, 30, 55])
 @pytest.mark.parametrize("banded", [False, True], ids=["dense", "banded"])
 @pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
 def test_expm_each_degree_matches_scipy(m, banded, complex_input):
-    # just below and just above each theta_m, so every degree and every
-    # switch between them runs; the banded case is a sparse matrix past the
-    # largest register, n = 512, with lower and upper bandwidths that differ
+    # just below theta_m the Taylor series has degree m; just above, the
+    # degree switches (to s = 2 substeps past theta_55).  The banded case
+    # has lower and upper bandwidths that differ, like the Carleman chain.
     rng = np.random.default_rng(m)
-    n, band = (549, 3) if banded else (40, None)
+    n, band = (60, 3) if banded else (40, None)
     for side in (0.99, 1.01):
-        a = _scaled(rng, n, side * THETA[m], complex_input, band)
-        before = a.copy()
-        ref = scipy.linalg.expm(a)
-        got = linalg.expm(a)
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-        assert np.array_equal(a, before)
-        inverse = got @ linalg.expm(-a)
-        assert np.max(np.abs(inverse - np.eye(n))) <= 1e-12
+        norm = side * linalg._THETA_TAYLOR[m]
+        a = _scaled(rng, n, norm, complex_input, band)
+        assert (linalg.taylor_degree(linalg.onenorm(a))[0] == m) == (side < 1)
+        _check_expm(a)
 
 
-@pytest.mark.parametrize("m", [7, 9])
-@pytest.mark.parametrize("factor", [0.999, 1.25])
-def test_expm_degree_boundaries_on_diagonal(m, factor):
-    # random matrices stay accurate past a wrong theta; a diagonal at the
-    # threshold does not: degree 7 or 9 used 25% past its theta misses
-    # exp by 3e-15 or more, the right degree by under 4e-16
-    d = factor * THETA[m] * np.array([1.0, -1.0, 0.5, -0.25])
-    got = np.diag(linalg.expm(np.diag(d)))
-    assert np.max(np.abs(got - np.exp(d)) / np.exp(d)) <= 1e-15
+@pytest.mark.parametrize("norm", [12.0, 30.0])
+@pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
+def test_expm_with_substeps_matches_scipy(norm, complex_input):
+    a = _scaled(np.random.default_rng(14), 40, norm, complex_input)
+    assert linalg.taylor_degree(linalg.onenorm(a))[1] > 1
+    _check_expm(a)
 
 
 def test_expm_guards():
@@ -122,10 +113,13 @@ def test_expm_guards():
     with pytest.raises(TooLarge):
         linalg.expm(np.zeros((4097, 4097)))
     bad = np.eye(2)
-    bad[0, 1] = np.nan
-    with pytest.raises(NonFinite):
-        linalg.expm(bad)
-
+    for entry in (np.nan, np.inf):
+        bad[0, 1] = entry
+        with pytest.raises(NonFinite):
+            linalg.expm(bad)
+    # finite entries whose column sum overflows
+    with pytest.raises(NonFinite), np.errstate(over="ignore"):
+        linalg.expm(np.full((2, 2), 1e308))
 
 
 def test_taylor_table_is_scipys():
@@ -147,6 +141,12 @@ def test_taylor_degree_takes_fewest_products(norm, m, s):
         best = min(k * np.ceil(norm / t) for k, t in linalg._THETA_TAYLOR.items())
         assert m * s == best
 
+
+
+def test_taylor_degree_past_the_smallest_theta():
+    # norm / theta_1 overflows, yet a degree and a finite s are chosen
+    m, s = linalg.taylor_degree(1e300)
+    assert m == 55 and s >= 1e300 / linalg._THETA_TAYLOR[55]
 
 def _action_oracle(A, B):
     return scipy.sparse.linalg.expm_multiply(scipy.sparse.csr_array(A), B)

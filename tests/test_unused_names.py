@@ -238,15 +238,16 @@ def _owner(qual):
     return qual.rpartition(".")[0] if qual.count(".") == 2 else None
 
 
-def _definition_reads(node):
-    """Names a definition reads; a class reads its decorators, bases and
-    class-level statements, and its methods read their own."""
+def _definition_reads(node, read=names_read):
+    """Names a definition reads (`read` of its parts); a class reads its
+    decorators, bases and class-level statements, and its methods read
+    their own."""
     if not isinstance(node, ast.ClassDef):
-        return names_read(node)
+        return read(node)
     parts = node.decorator_list + node.bases + [
         item for item in node.body if not isinstance(item, _FUNCTIONS)
     ]
-    return set().union(*map(names_read, parts))
+    return set().union(*map(read, parts))
 
 
 def reached_names(defining, roots, reading):
@@ -256,24 +257,30 @@ def reached_names(defining, roots, reading):
     trees read.  A top-level definition is reached when a reached
     definition reads its name, in whichever module it is defined; a method
     or property when its class is reached and some reached definition
-    reads its attribute name (dunder methods, which the language calls,
-    with their class alone)."""
+    reads it as an attribute, `x.name` or getattr(x, "name"): a bare
+    local of the same name does not reach it (dunder methods, which the
+    language calls, with their class alone)."""
     nodes = definitions(defining)
-    reads = {qual: _definition_reads(node) for qual, node in nodes.items()}
-    base = set().union(*(names_read(tree) for tree in reading))
-    for tree in defining.values():
-        base.update(
-            *(names_read(node) for node in tree.body
-              if not isinstance(node, _DEFINITIONS))
-        )
+    always = list(reading) + [
+        node for tree in defining.values() for node in tree.body
+        if not isinstance(node, _DEFINITIONS)
+    ]
+    # (what each definition reads, what is read regardless), as bare or
+    # attribute names and as attribute names alone
+    names, attrs = (
+        ({q: _definition_reads(node, read) for q, node in nodes.items()},
+         set().union(*map(read, always)))
+        for read in (names_read, attributes_read)
+    )
     reached = set(roots)
     while True:
-        read = base.union(*(reads[qual] for qual in reached))
+        read = names[1].union(*(names[0][q] for q in reached))
+        attr = attrs[1].union(*(attrs[0][q] for q in reached))
         more = set()
         for qual in nodes.keys() - reached:
             name, owner = qual.rpartition(".")[2], _owner(qual)
             if (owner is None and name in read) or (
-                owner in reached and (name in read or _is_dunder(name))
+                owner in reached and (name in attr or _is_dunder(name))
             ):
                 more.add(qual)
         if not more:
@@ -447,7 +454,8 @@ def test_reachability_check_catches_unreached_and_stale():
         "def counted():\n"
         "    pass\n"
         "def measured():\n"
-        "    pass\n"
+        "    spare = 0\n"
+        "    return spare\n"
         "def benched():\n"
         "    pass\n"
         "def planted():\n"
