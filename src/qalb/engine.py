@@ -25,7 +25,7 @@ lower bound before it falls back to the dense one.
 
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from math import exp
+from math import exp, log
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -129,6 +129,12 @@ def _terms(rate, i, p_mode=None):
     }
 
 
+def _kron(a, b):
+    """np.kron(a, b) of two matrices, as one broadcast outer product."""
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+
+
 def _kron_sum(terms, factors):
     """Dense sum of coef * kron(factors[key_0], ..., factors[key_last]).
 
@@ -141,7 +147,7 @@ def _kron_sum(terms, factors):
     for keys, coef in terms.items():
         groups.setdefault(keys[0], {})[keys[1:]] = coef
     return sum(
-        np.kron(factors[key], _kron_sum(rest, factors))
+        _kron(factors[key], _kron_sum(rest, factors))
         for key, rest in groups.items()
     )
 
@@ -297,31 +303,66 @@ def _weyl_bound(setup):
     symmetric part S~ = sum_i S_i of dt G~, by Weyl's inequality.
 
     S_i = (P~_i D_i - D_i P~_i)/2 is block diagonal over the other modes'
-    eigenvalues: L^(Q - 1) blocks P~ o (d_k - d_j)/2 of size L.  Each
-    block's largest eigenvalue is certified on the stack of blocks by
-    _lambda_max_bound; mu_W is the sum over modes of their maxima plus the
-    allowance, each addition rounded up.
+    eigenvalues: L^(Q - 1) blocks X_k = P~ o (e_l - e_j)/2 of size L, with
+    e = e_k the row of d_i along mode i at the tuple k.  The BGK rate is
+    quadratic, so e = c0(k) + c1(k) lam + c2 lam^2 with c2 the same for
+    every k, and X_k = c1(k) B1 + c2 B2 for two fixed matrices.  Its
+    largest eigenvalue is convex in c1, so over k it peaks at the row a
+    with the smallest or the row b with the largest c1; the slope
+    e_(L-1) - e_0 orders the rows by c1.  Only those 2 Q blocks are
+    certified, on one stack, by _lambda_max_bound.
+
+    The computed rows are not exactly affine in c1.  With t_k in [0, 1] the
+    place of row k's slope between a's and b's,
+    X_k = (1 - t_k) X_a + t_k X_b + R_k, R_k = P~ o (r_l - r_j)/2 for
+    r = e_k - e_a - t_k (e_b - e_a), so lambda_max(X_k) is at most the
+    larger of lambda_max(X_a) and lambda_max(X_b) plus
+    ||R_k||_2 <= ||R_k||_1 <= ||P~||_1 (max r - min r)/2.  The rounding
+    term E_i = ||P~||_1 (rho_i + 24 u M_i)/2 bounds that for every k, with
+    rho_i the largest computed max r - min r and M_i = max|d_i|: 24 u M_i
+    covers the rounding of r and of rho_i.  The bound holds for any d, so
+    a wrong pick among rows that nearly tie costs tightness, not validity.
+    mu_W is the allowance plus, per mode, the larger of its two certified
+    tops and E_i, each addition rounded up.
     """
     form, Q, L = _q_form(setup), setup.modes, setup.cfg.levels
-    blocks = []
+    u = np.finfo(float).eps / 2.0
+    p_norm = float(np.abs(form.Pt).sum(axis=0).max())
+    ends, terms = [], []
     for i, di in enumerate(form.d):
-        e = np.moveaxis(di.reshape((L,) * Q), i, -1).reshape(-1, L)
-        blocks.append(form.Pt * (e[:, None, :] - e[:, :, None]) * 0.5)
-    tops = _lambda_max_bound(np.concatenate(blocks)).reshape(Q, -1)
+        e = di.reshape(L**i, L, -1)  # e[p, :, s] is one row along mode i
+        slope = e[:, -1] - e[:, 0]
+        a = np.unravel_index(slope.argmin(), slope.shape)
+        b = np.unravel_index(slope.argmax(), slope.shape)
+        ea, eb = e[a[0], :, a[1]], e[b[0], :, b[1]]
+        t = np.zeros_like(slope)
+        if slope[b] > slope[a]:
+            t = np.clip((slope - slope[a]) / (slope[b] - slope[a]), 0.0, 1.0)
+        r = e - ea[:, None]
+        r -= t[:, None] * (eb - ea)[:, None]
+        rho = float(np.max(r.max(axis=1) - r.min(axis=1)))
+        terms.append(0.5 * p_norm * (rho + 24.0 * u * np.abs(di).max()))
+        ends += [ea, eb]
+    ends = np.array(ends)
+    blocks = form.Pt * (ends[:, None, :] - ends[:, :, None]) * 0.5
+    tops = _lambda_max_bound(blocks).reshape(Q, 2).max(axis=1)
     mu = form.allowance
-    for top in tops.max(axis=1):
+    for top, term in zip(tops, terms):
         mu = float(np.nextafter(mu + top, np.inf))
+        mu = float(np.nextafter(mu + term, np.inf))
     return mu
 
 
-def _rayleigh_bound(setup):
+def _rayleigh_bound(setup, target=np.inf):
     """A lower bound on the largest eigenvalue of S~: the Rayleigh
     quotient of the top Ritz vector of a matrix-free Lanczos run, minus
-    the allowance."""
+    the allowance.  The run stops once its Ritz value exceeds target
+    (_lanczos_top); any vector's quotient bounds the top eigenvalue from
+    below, so an early stop changes the cost, never what is certified."""
     form = _q_form(setup)
     apply = partial(_q_apply, setup, "symmetric")
     u = np.finfo(float).eps / 2.0
-    y = _lanczos_top(apply, setup.dim, setup.dim * u * form.norm)[2]
+    y = _lanczos_top(apply, setup.dim, setup.dim * u * form.norm, target)[2]
     return float(y @ apply(y)) / float(y @ y) - form.allowance
 
 
@@ -342,11 +383,13 @@ def certificate(setup, mode):
     In nonhermitian mode at n <= _DENSE_DIM, mu comes from the dense S
     (_lambda_max_bound).  A larger register first tries the q-eigenbasis
     (_q_form) and forms no dense matrix unless neither bound decides:
-    - clean, with sigma = e^{mu_W}, when the Weyl bound (_weyl_bound)
-      keeps e^{mu_W} within the threshold;
+    - clean, with sigma = e^{mu_W}, when the Weyl bound (_weyl_bound, 2 Q
+      blocks of size L) keeps e^{mu_W} within the threshold;
     - flagged, with sigma = e^{mu_W}, when a lower bound on the largest
       eigenvalue of S (_rayleigh_bound) already puts e^mu above it, so the
-      dense certificate would flag too;
+      dense certificate would flag too.  Its Lanczos run stops once the
+      Ritz value clears ln(threshold) plus the allowance, a few steps
+      where the bound flags by a wide margin;
     - otherwise from the dense S, as at n <= _DENSE_DIM.
     So each verdict is the dense certificate's.  Memoized on the setup.
     Returns (sigma, growth_bound, flagged).
@@ -361,8 +404,12 @@ def certificate(setup, mode):
             sigma = 1.0
         elif setup.dim > _DENSE_DIM:
             weyl = exp(_weyl_bound(setup))
-            # clean by the upper bound, or flagged by the lower one
-            if weyl <= threshold or exp(_rayleigh_bound(setup)) > threshold:
+            # clean by the upper bound, or flagged by the lower one, whose
+            # Lanczos run stops once it clears the threshold by the allowance
+            target = log(threshold) + _q_form(setup).allowance
+            if weyl <= threshold or (
+                exp(_rayleigh_bound(setup, target)) > threshold
+            ):
                 sigma = weyl
         if sigma is None:
             A = setup.dt * generator(setup, mode)
@@ -436,11 +483,14 @@ def _factors_ok(M):
         return np.concatenate([_factors_ok(m[None]) for m in M])
 
 
-def _lanczos_top(apply, n, tol):
+def _lanczos_top(apply, n, tol, target=np.inf):
     """Largest Ritz value of a symmetric operator of dimension n, given by
     its product apply(v), with its residual norm and unit Ritz vector, from
     at most 300 Lanczos steps with full reorthogonalization and a seeded
-    start vector, stopped once the residual is at most tol."""
+    start vector, stopped once the residual is at most tol or the Ritz
+    value exceeds target.  With full reorthogonalization the Ritz value
+    only rises from step to step, so it exceeds target at the first step
+    it can."""
     steps = min(n, 300)
     V = np.empty((steps, n))
     T = np.zeros((steps, steps))
@@ -456,7 +506,7 @@ def _lanczos_top(apply, n, tol):
         beta = float(np.linalg.norm(w))
         vals, vecs = np.linalg.eigh(T[: k + 1, : k + 1])
         theta, r = float(vals[-1]), beta * abs(float(vecs[-1, -1]))
-        if r <= tol or k + 1 == steps:
+        if r <= tol or theta > target or k + 1 == steps:
             return theta, r, vecs[:, -1] @ basis
         T[k, k + 1] = T[k + 1, k] = beta
         v = w / beta

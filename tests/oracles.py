@@ -13,6 +13,9 @@
   tensors of a lattice.
 - The commutator and the two one-sided null states of the truncated
   ladder operators.
+- The engine's lifted-operator sum from np.kron, and its Weyl bound from
+  every block of the q-eigenbasis form, as the engine built them before
+  it took a broadcast outer product and two blocks per mode.
 
 mpmath, which the quadrature needs, is a test dependency only.
 """
@@ -24,6 +27,7 @@ from math import exp, factorial, pi, sqrt
 import mpmath
 import numpy as np
 
+from qalb import engine
 from qalb.errors import DimMismatch, QalbError, TooLarge
 from qalb.lattice import _NAMES, CS2, _weight, build_lattice
 
@@ -445,3 +449,38 @@ def zero_vectors(cfg):
     lo[0] = 1.0
     hi[-1] = 1.0
     return lo, hi
+
+
+# --- q-eigenbasis engine operators ------------------------------------
+
+
+def kron_sum(terms, factors):
+    """engine._kron_sum with each Kronecker product from np.kron."""
+    if not next(iter(terms)):
+        return np.array([[sum(terms.values())]])
+    groups = {}
+    for keys, coef in terms.items():
+        groups.setdefault(keys[0], {})[keys[1:]] = coef
+    return sum(
+        np.kron(factors[key], kron_sum(rest, factors))
+        for key, rest in groups.items()
+    )
+
+
+def weyl_bound_all_blocks(setup):
+    """The Weyl bound on the largest eigenvalue of the symmetric part of
+    the q-eigenbasis form from all L^(Q - 1) blocks P~ o (d_k - d_j)/2 of
+    every mode, each certified by engine._lambda_max_bound: the allowance
+    plus the sum over modes of their largest tops, each addition rounded
+    up."""
+    form = engine._q_form(setup)
+    Q, L = setup.modes, setup.cfg.levels
+    blocks = []
+    for i, di in enumerate(form.d):
+        e = np.moveaxis(di.reshape((L,) * Q), i, -1).reshape(-1, L)
+        blocks.append(form.Pt * (e[:, None, :] - e[:, :, None]) * 0.5)
+    tops = engine._lambda_max_bound(np.concatenate(blocks)).reshape(Q, -1)
+    mu = form.allowance
+    for top in tops.max(axis=1):
+        mu = float(np.nextafter(mu + top, np.inf))
+    return mu

@@ -1,8 +1,10 @@
 """Encoded collision dynamics on per-population registers."""
 
+import math
 import tracemalloc
 
 import numpy as np
+import oracles
 import pytest
 import scipy.linalg
 
@@ -54,6 +56,26 @@ def test_terms_build_logistic_generator():
     q = fock.q_matrix(cfg)
     want = fock.P_matrix(cfg) @ (-a * q + b * q @ q)
     assert np.max(np.abs(G - want)) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "name,qubits", [("D1Q3", 1), ("D1Q3", 2), ("D1Q3", 3), ("D2Q9", 1)]
+)
+def test_kron_sum_matches_np_kron_bit_for_bit(name, qubits):
+    # the broadcast outer product forms the same products as np.kron, in
+    # the same order, so the generator sum and each omega keep every bit
+    s = engine.make_setup(lattice.build_lattice(name), qubits)
+    rate = classical.bgk_rate(s.model, s.tau)
+    factors = engine._factors(s.cfg)
+    terms = {}
+    for i in range(s.modes):
+        terms.update(engine._terms(rate, i, p_mode=i))
+    want = oracles.kron_sum(terms, factors)
+    assert np.array_equal(engine._kron_sum(terms, factors), want)
+    omega = engine._terms(rate, 0)
+    assert np.array_equal(
+        engine.omega_operator(s, 0), oracles.kron_sum(omega, factors)
+    )
 
 
 def test_omega_operator_symmetric():
@@ -547,6 +569,60 @@ def test_q_basis_bounds_bracket_dense_bound(qubits, qc4):
     assert weyl >= mu >= low
     # the Lanczos lower bound converges on the top eigenvalue
     assert mu - low <= 1e-8 * mu
+
+
+_WEYL_CASES = [
+    (name, qubits, tau, dt)
+    for name, qubit_list in (("D1Q3", (1, 2, 3, 4)), ("D2Q9", (1,)))
+    for qubits in qubit_list
+    for tau, dt in ((1.0, 1e-3), (0.7, 1e-3), (0.8, 2e-3))
+]
+
+
+@pytest.mark.parametrize("name,qubits,tau,dt", _WEYL_CASES)
+def test_weyl_bound_never_under_reads_all_blocks(monkeypatch, name, qubits,
+                                                 tau, dt):
+    # two certified blocks per mode and the rounding term never read below
+    # the bound from every block, and stay within 1e-12 of it
+    s = engine.make_setup(lattice.build_lattice(name), qubits, tau=tau, dt=dt)
+    want = oracles.weyl_bound_all_blocks(s)
+    shapes = []
+    real = engine._lambda_max_bound
+
+    def recording(S):
+        shapes.append(S.shape)
+        return real(S)
+
+    monkeypatch.setattr(engine, "_lambda_max_bound", recording)
+    mu = engine._weyl_bound(s)
+    assert want <= mu <= want * (1.0 + 1e-12)
+    L = s.cfg.levels
+    assert shapes == [(2 * s.modes, L, L)]
+
+
+@pytest.mark.parametrize("tau", [0.7, 1.0])
+@pytest.mark.parametrize("dt", [5e-4, 1e-3, 2e-3])
+def test_qc4_certificate_stops_lanczos_once_flagged(monkeypatch, tau, dt):
+    # the lower bound's run stops once it flags, and the certificate reads
+    # the verdict and sigma the fully converged lower bound gives
+    ref = _setup(4, tau=tau, dt=dt)
+    weyl = math.exp(engine._weyl_bound(ref))
+    low = math.exp(engine._rayleigh_bound(ref))
+    bound = engine.dissipation_factor(1.0, dt, tau, 3, 1)
+    threshold = bound * engine.CERTIFICATE_MARGIN
+    assert weyl > threshold and low > threshold  # each case flags
+    calls = []
+    real = engine._q_apply
+
+    def counting(setup, part, x):
+        calls.append(part)
+        return real(setup, part, x)
+
+    monkeypatch.setattr(engine, "_q_apply", counting)
+    s = _setup(4, tau=tau, dt=dt)
+    assert engine.certificate(s, "nonhermitian") == (weyl, bound, True)
+    if dt == 1e-3:
+        assert calls == ["symmetric"] * len(calls) and len(calls) <= 5
 
 
 @pytest.mark.parametrize(
