@@ -235,12 +235,13 @@ def _q_form(setup):
         lam, V = fock.q_eigensystem(cfg)
         Pt = V.T @ fock.P_matrix(cfg) @ V
         Pt = 0.5 * (Pt - Pt.T)
-        powers = (np.ones(L), lam, lam * lam)
+        powers = (None, lam, lam * lam)  # q^0 factors are skipped
         d = np.zeros((Q,) + (L,) * Q)
         for e, coef in classical.bgk_rate(setup.model, setup.tau).items():
             term = (setup.dt * coef).reshape((Q,) + (1,) * Q)
             for m, k in enumerate(e):
-                term = term * powers[k].reshape((L,) + (1,) * (Q - 1 - m))
+                if k:
+                    term = term * powers[k].reshape((L,) + (1,) * (Q - 1 - m))
             d += term
         d = d.reshape(Q, n)
         norm = float(np.abs(Pt).sum(axis=0).max())

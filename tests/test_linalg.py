@@ -142,31 +142,30 @@ def test_taylor_degree_takes_fewest_products(norm, m, s):
         assert m * s == best
 
 
-
 def test_taylor_degree_past_the_smallest_theta():
     # norm / theta_1 overflows, yet a degree and a finite s are chosen
     m, s = linalg.taylor_degree(1e300)
     assert m == 55 and s >= 1e300 / linalg._THETA_TAYLOR[55]
 
-def _action_oracle(A, B):
-    return scipy.sparse.linalg.expm_multiply(scipy.sparse.csr_array(A), B)
+
+def _action_oracle(A, b):
+    return scipy.sparse.linalg.expm_multiply(scipy.sparse.csr_array(A), b)
 
 
 @pytest.mark.parametrize("mode", ["nonhermitian", "hermitized"])
 @pytest.mark.parametrize("qubits", [1, 2, 3, 4])
 def test_expm_action_matches_scipy_on_generators(qubits, mode):
-    # the D1Q3 collision generators the engine marches with, on a block of
-    # three columns and on one vector
+    # the D1Q3 collision generators the engine marches with, applied as an
+    # operator under their own 1-norm
     s = engine.make_setup(lattice.build_lattice("D1Q3"), qubits)
     A = s.dt * engine.generator(s, mode)
-    B = np.random.default_rng(qubits).standard_normal((s.dim, 3))
-    before = A.copy(), B.copy()
-    for operand in (B, B[:, 0]):
-        want = _action_oracle(A, operand)
-        got = linalg.expm_action(A, operand)
-        assert got.shape == operand.shape and got.dtype == np.float64
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-    assert np.array_equal(A, before[0]) and np.array_equal(B, before[1])
+    b = np.random.default_rng(qubits).standard_normal(s.dim)
+    before = A.copy(), b.copy()
+    want = _action_oracle(A, b)
+    got = linalg.expm_action(A.__matmul__, b, linalg.onenorm(A))
+    assert got.shape == b.shape and got.dtype == np.float64
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.array_equal(A, before[0]) and np.array_equal(b, before[1])
 
 
 @pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
@@ -174,49 +173,67 @@ def test_expm_action_with_substeps_matches_scipy(complex_input):
     # ||A||_1 = 30 takes m = 40 in s = 5 substeps
     rng = np.random.default_rng(12)
     A = _scaled(rng, 40, 30.0, complex_input)
-    assert linalg.taylor_degree(np.linalg.norm(A, 1))[1] > 1
-    B = rng.standard_normal((40, 4))
-    want = scipy.linalg.expm(A) @ B
-    got = linalg.expm_action(A, B)
+    assert linalg.taylor_degree(linalg.onenorm(A)) == (40, 5)
+    b = rng.standard_normal(40)
+    if complex_input:
+        b = b + 1j * rng.standard_normal(40)
+    want = scipy.linalg.expm(A) @ b
+    got = linalg.expm_action(A.__matmul__, b, linalg.onenorm(A))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    assert np.max(np.abs(got - _action_oracle(A, B))) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(got - _action_oracle(A, b))) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_expm_action_empty_and_zero():
-    for shape in ((0,), (0, 3)):
-        out = linalg.expm_action(np.zeros((0, 0)), np.zeros(shape))
-        assert out.shape == shape
+    out = linalg.expm_action(np.zeros((0, 0)).__matmul__, np.zeros(0), 0.0)
+    assert out.shape == (0,)
     b = np.arange(4.0)
-    out = linalg.expm_action(np.zeros((4, 4)), b)
+    out = linalg.expm_action(np.zeros((4, 4)).__matmul__, b, 0.0)
     assert np.array_equal(out, b) and not np.shares_memory(out, b)
 
 
 def test_onenorm_matches_numpy():
     rng = np.random.default_rng(8)
-    for n in (1, 5, linalg._NORM_ROWS + 3, 3 * linalg._NORM_ROWS):
-        re, im = rng.standard_normal((2, n, n))
+    for shape in ((1, 1), (5, 5), (40, 40), (7, 3)):
+        re, im = rng.standard_normal((2,) + shape)
         for a in (re, re + 1j * im):
             want = np.linalg.norm(a, 1)
             assert abs(linalg.onenorm(a) - want) <= 1e-14 * want
-    assert linalg.onenorm(np.zeros((0, 0))) == 0.0
+    for shape in ((0, 0), (0, 3), (3, 0)):
+        assert linalg.onenorm(np.zeros(shape)) == 0.0
+    a = np.eye(3)
+    a[2, 0] = np.nan
+    assert np.isnan(linalg.onenorm(a))
+    a[2, 0] = -np.inf
+    assert linalg.onenorm(a) == np.inf
 
 
 def test_expm_action_guards():
-    with pytest.raises(DimMismatch):
-        linalg.expm_action(np.zeros((2, 3)), np.zeros(2))
-    with pytest.raises(DimMismatch):
-        linalg.expm_action(np.eye(3), np.zeros(4))
-    with pytest.raises(DimMismatch):
-        linalg.expm_action(np.eye(3), np.zeros((3, 2, 2)))
-    bad = np.eye(3)
-    bad[2, 0] = np.inf
-    with pytest.raises(NonFinite):
-        linalg.expm_action(bad, np.ones(3))
-    bad[2, 0] = np.nan
-    with pytest.raises(NonFinite):
-        linalg.expm_action(bad, np.ones(3))
-    with pytest.raises(NonFinite):
-        linalg.expm_action(np.eye(3), np.array([1.0, np.nan, 0.0]))
+    A = np.eye(3)
+    for bound in (np.inf, np.nan):
+        with pytest.raises(NonFinite):
+            linalg.expm_action(A.__matmul__, np.ones(3), bound)
+    for entry in (np.inf, np.nan):
+        with pytest.raises(NonFinite):
+            linalg.expm_action(A.__matmul__, np.array([1.0, entry, 0.0]), 1.0)
+
+
+def test_expm_action_refuses_too_many_substeps():
+    # taylor_degree(1e12) asks for about 1e11 substeps: refused before the
+    # operator is applied even once
+    calls = []
+
+    def apply(x):
+        calls.append(1)
+        return x
+
+    assert linalg.taylor_degree(1e12)[1] > linalg._MAX_SUBSTEPS
+    with pytest.raises(TooLarge):
+        linalg.expm_action(apply, np.ones(3), 1e12)
+    assert calls == []
+    # the largest bound a CLI run reaches, D1Q3 qc=4 as dt/tau nears 2
+    s = engine.make_setup(lattice.build_lattice("D1Q3"), 4, tau=0.5005, dt=1.0)
+    norm = engine._q_form(s).norm
+    assert linalg.taylor_degree(norm)[1] <= linalg._MAX_SUBSTEPS // 10
 
 
 def test_expm_action_applies_a_function_under_a_norm_bound():
@@ -224,17 +241,10 @@ def test_expm_action_applies_a_function_under_a_norm_bound():
     # takes more substeps to the same result
     rng = np.random.default_rng(13)
     A = _scaled(rng, 30, 3.0, False)
-    B = rng.standard_normal((30, 2))
-    want = scipy.linalg.expm(A) @ B
+    b = rng.standard_normal(30)
+    want = scipy.linalg.expm(A) @ b
     norm = linalg.onenorm(A)
+    assert linalg.taylor_degree(4.0 * norm)[1] > linalg.taylor_degree(norm)[1]
     for bound in (norm, 4.0 * norm):
-        for operand in (B, B[:, 0]):
-            ref = want if operand.ndim == 2 else want[:, 0]
-            got = linalg.expm_action(lambda X: A @ X, operand, bound)
-            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(want))
-    with pytest.raises(ValueError):
-        linalg.expm_action(lambda X: A @ X, B)
-    with pytest.raises(NonFinite):
-        linalg.expm_action(lambda X: A @ X, B, np.inf)
-    with pytest.raises(NonFinite):
-        linalg.expm_action(lambda X: A @ X, np.full(30, np.nan), norm)
+        got = linalg.expm_action(lambda x: A @ x, b, bound)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
