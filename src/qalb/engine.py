@@ -15,8 +15,16 @@ P^p q^k, assembled from the driving dict classical.bgk_rate, the one
 written form of the BGK rate.
 
 Registers of up to 512 amplitudes are marched and certified on dense
-Fock-basis matrices.  A larger one (D1Q3 at 4 qubits per mode, 4096) works
-in the joint eigenbasis W of the truncated q instead: there every
+matrices in the parity basis of the lattice inversion c -> -c.  Every
+velocity set here is closed under it, and the BGK equilibrium is
+equivariant, so G commutes with the permutation Pi of Fock states that
+swaps mode i with the mode of -c_i and keeps rest modes.  The fixed states
+and the sums (e_x + e_Pi x)/sqrt 2 of swapped pairs span the even sector,
+the differences (e_x - e_Pi x)/sqrt 2 the odd one, and G, its propagator,
+the propagator's powers and the certificate's S are each two diagonal
+blocks there: 288 + 224 of 512 amplitudes at D1Q3 qc=3, 272 + 240 at D2Q9
+qc=1.  A larger register (D1Q3 at 4 qubits per mode, 4096) works in the
+joint eigenbasis W of the truncated q instead: there every
 Omega_i(q) is diagonal, so dt G = W (sum_i P~_i D_i) W^T with
 P~ = V^T P V one L x L matrix.  Its march advances by the action of the
 exponential, and its certificate decides from a Weyl bound and a Lanczos
@@ -25,7 +33,7 @@ lower bound before it falls back to the dense one.
 
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from math import exp, log
+from math import exp, log, sqrt
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -72,8 +80,9 @@ class CollisionSetup:
     """A lattice model bound to per-mode registers and a relaxation clock.
 
     modes counts the encoded populations (one bosonic mode each);
-    each mode's propagator and certificate, and at n <= _DENSE_DIM the
-    generator sum both modes are built from, are memoized on the instance.
+    each mode's propagator, its sector blocks and certificate, and at
+    n <= _DENSE_DIM the generator sum both modes are built from and the
+    parity basis, are memoized on the instance.
     """
 
     model: object
@@ -180,19 +189,108 @@ def generator(setup, mode):
 
 
 def propagator(setup, mode):
-    """One-step propagator expm(dt G) = expm(-i dt H), a real matrix,
-    memoized on the setup, for a register of n <= _DENSE_DIM amplitudes;
-    TooLarge above, where the march goes in the q-eigenbasis."""
+    """One-step propagator expm(dt G) = expm(-i dt H), a real matrix in the
+    Fock basis, memoized on the setup, for a register of n <= _DENSE_DIM
+    amplitudes; TooLarge above, where the march goes in the q-eigenbasis.
+    It is formed in the parity basis, one expm per sector block of dt G,
+    and the blocks are memoized too (_sectors)."""
     if setup.dim > _DENSE_DIM:
         raise TooLarge(f"no dense propagator above {_DENSE_DIM} amplitudes")
     key = ("propagator", mode)
     if key not in setup._cache:
-        setup._cache[key] = expm(setup.dt * generator(setup, mode))
+        par = _parity(setup)
+        blocks = tuple(
+            expm(setup.dt * g) for g in _split(par, generator(setup, mode))
+        )
+        setup._cache[("sectors", mode)] = blocks
+        setup._cache[key] = _join(par, *blocks)
     return setup._cache[key]
 
 
+def _sectors(setup, mode):
+    """The even and odd sector blocks of the propagator, which the march
+    advances: the blocks propagator formed U from or, for a U memoized
+    under its key by other means, its _split."""
+    U = propagator(setup, mode)
+    key = ("sectors", mode)
+    if key not in setup._cache:
+        setup._cache[key] = _split(_parity(setup), U)
+    return setup._cache[key]
+
+
+class _Parity(NamedTuple):
+    """The parity basis B = [E O] of the register under the lattice
+    inversion Pi, an orthogonal matrix: E holds e_x for each fixed state
+    x, then (e_l + e_h)/sqrt 2 for each swapped pair l < h = Pi l (the even
+    sector), O holds (e_l - e_h)/sqrt 2 (the odd one).  B^T x are the
+    sector coordinates of x."""
+
+    order: np.ndarray  # fixed states, then each pair's l, then its h
+    fixed: int  # number of fixed states
+    pairs: int  # number of swapped pairs: the odd sector's size
+
+
+def _parity(setup):
+    """The _Parity of the setup, memoized.  Pi reorders the mode axes of a
+    Fock state by the inversion of the lattice's velocities."""
+    if "parity" not in setup._cache:
+        vel = setup.model.velocities
+        inverse = np.nonzero(np.all(vel[None] == -vel[:, None], axis=2))[1]
+        L, Q = setup.cfg.levels, setup.modes
+        states = np.arange(setup.dim)
+        image = states.reshape((L,) * Q).transpose(inverse).reshape(-1)
+        low = states[states < image]
+        fixed = states[states == image]
+        setup._cache["parity"] = _Parity(
+            np.concatenate((fixed, low, image[low])), fixed.size, low.size
+        )
+    return setup._cache["parity"]
+
+
+_R2 = sqrt(0.5)
+
+
+def _to_sectors(par, x):
+    """B^T x along the first axis of x: its sector coordinates."""
+    f, k = par.fixed, par.pairs
+    y = x[par.order]
+    low, high = y[f : f + k], y[f + k :]
+    return np.concatenate((y[:f], (low + high) * _R2, (low - high) * _R2))
+
+
+def _split(par, M):
+    """The even and odd diagonal blocks of B^T M B, from the fixed (F),
+    pair-low (L) and pair-high (H) blocks of M.  For M that commutes with
+    Pi the blocks between the sectors vanish up to round-off, so these two
+    are the operator M acts as."""
+    f, k = par.fixed, par.pairs
+    A = M.take(par.order, axis=0).take(par.order, axis=1)
+    F, L, H = slice(0, f), slice(f, f + k), slice(f + k, None)
+    same = A[L, L] + A[H, H]
+    swap = A[L, H] + A[H, L]
+    even = np.block([
+        [A[F, F], (A[F, L] + A[F, H]) * _R2],
+        [(A[L, F] + A[H, F]) * _R2, (same + swap) * 0.5],
+    ])
+    return even, (same - swap) * 0.5
+
+
+def _join(par, even, odd):
+    """The Fock-basis matrix B diag(even, odd) B^T."""
+    f = par.fixed
+    top, side, pairs = even[:f, f:] * _R2, even[f:, :f] * _R2, even[f:, f:]
+    same, swap = (pairs + odd) * 0.5, (pairs - odd) * 0.5
+    A = np.block([
+        [even[:f, :f], top, top],
+        [side, same, swap],
+        [side, swap, same],
+    ])
+    position = np.argsort(par.order)
+    return A.take(position, axis=0).take(position, axis=1)
+
+
 # Largest register with a dense propagator, marched and certified on dense
-# Fock-basis matrices; a larger one (D1Q3 qc=4, n = 4096) goes in the
+# blocks in the parity basis; a larger one (D1Q3 qc=4, n = 4096) goes in the
 # q-eigenbasis.  At n = 512 the dense march is the faster past a few steps:
 # 200 hermitized D1Q3 steps take 0.04 s against 0.07 s, 1500 take 0.06 s
 # against 0.47 s (measured on 2 cores).
@@ -381,9 +479,12 @@ def certificate(setup, mode):
     exactly 1 at every register size, with nothing built.  The certificate
     never forms expm(A).
 
-    In nonhermitian mode at n <= _DENSE_DIM, mu comes from the dense S
-    (_lambda_max_bound).  A larger register first tries the q-eigenbasis
-    (_q_form) and forms no dense matrix unless neither bound decides:
+    In nonhermitian mode at n <= _DENSE_DIM, mu is the larger of the dense
+    bounds (_lambda_max_bound) on the even and odd blocks of S in the
+    parity basis (_split), so sigma bounds exactly the block-diagonal
+    propagator the march advances.  A larger register first tries the
+    q-eigenbasis (_q_form) and forms no dense matrix unless neither bound
+    decides:
     - clean, with sigma = e^{mu_W}, when the Weyl bound (_weyl_bound, 2 Q
       blocks of size L) keeps e^{mu_W} within the threshold;
     - flagged, with sigma = e^{mu_W}, when a lower bound on the largest
@@ -391,7 +492,7 @@ def certificate(setup, mode):
       dense certificate would flag too.  Its Lanczos run stops once the
       Ritz value clears ln(threshold) plus the allowance, a few steps
       where the bound flags by a wide margin;
-    - otherwise from the dense S, as at n <= _DENSE_DIM.
+    - otherwise from the two dense blocks of S, as at n <= _DENSE_DIM.
     So each verdict is the dense certificate's.  Memoized on the setup.
     Returns (sigma, growth_bound, flagged).
     """
@@ -413,11 +514,14 @@ def certificate(setup, mode):
             ):
                 sigma = weyl
         if sigma is None:
-            A = setup.dt * generator(setup, mode)
-            S = np.add(A, A.T)
-            S *= 0.5
-            sigma = exp(_lambda_max_bound(S))
-            del S
+            mu = -np.inf
+            for g in _split(_parity(setup), generator(setup, mode)):
+                A = setup.dt * g
+                S = np.add(A, A.T)
+                S *= 0.5
+                mu = max(mu, _lambda_max_bound(S))
+                del A, S
+            sigma = exp(mu)
         setup._cache[key] = (sigma, bound, sigma > threshold)
     return setup._cache[key]
 
@@ -575,26 +679,32 @@ def _block_size(n, steps):
     return min(2 ** min(4, 2 * steps // n), steps + 1)
 
 
-def _dense_blocks(U, psi, steps):
-    """psi, U psi, ..., U^steps psi in blocks of K = _block_size(n, steps)
-    rows.  The first block applies U once per state; every later block is
-    one matrix-matrix product with P = U^K (P is U itself at K = 1), formed
-    only when a later block exists.  Blocks are yielded from two buffers
-    that are reused."""
-    K = _block_size(psi.size, steps)
-    block = np.empty((K, psi.size))
-    block[0] = psi
+def _dense_blocks(sectors, x, steps):
+    """x, U x, ..., U^steps x for U = diag(even, odd), the two sectors, in
+    blocks of K = _block_size(n, steps) states (rows), n = x.size: both
+    sectors advance in step, each on its own run of the columns.  The
+    first block applies U once per state; every later block is one
+    matrix-matrix product per sector with its K-th power (the sector block
+    itself at K = 1), formed only when a later block exists.  Blocks are
+    yielded from two buffers that are reused."""
+    K = _block_size(x.size, steps)
+    e = len(sectors[0])
+    runs = (slice(0, e), slice(e, x.size))
+    block = np.empty((K, x.size))
+    block[0] = x
     for j in range(1, K):
-        np.matmul(U, block[j - 1], out=block[j])
+        for U, run in zip(sectors, runs):
+            np.matmul(U, block[j - 1, run], out=block[j, run])
     yield block
     if K > steps:
         return
-    P = np.linalg.matrix_power(U, K)
+    powers = [np.linalg.matrix_power(U, K) for U in sectors]
     spare = np.empty_like(block)
     for start in range(K, steps + 1, K):
         rows = min(K, steps + 1 - start)
-        # state start + j is P applied to state start - K + j
-        np.matmul(block[:rows], P.T, out=spare[:rows])
+        # state start + j is U^K applied to state start - K + j
+        for P, run in zip(powers, runs):
+            np.matmul(block[:rows, run], P.T, out=spare[:rows, run])
         block, spare = spare, block
         yield block[:rows]
 
@@ -618,23 +728,37 @@ def _q_blocks(setup, mode, psi, steps):
         yield x[None], form.readout @ x
 
 
+def _sector_readout(setup):
+    """Rows of B at _readout_index, one per column: sector coordinates x
+    read out as x @ rows."""
+    index = _readout_index(setup)
+    onehot = np.zeros((setup.dim, index.size))
+    onehot[index, np.arange(index.size)] = 1.0
+    return _to_sectors(_parity(setup), onehot)
+
+
 def _march(setup, mode, psi, steps):
     """Readout amplitudes, norms and finiteness of the states psi, U psi,
     ..., U^steps psi, with U = expm(dt G) the propagator of mode, taken a
     block of states at a time; the (steps + 1) x n history is never held.
 
-    At n <= _DENSE_DIM the states come from the blocked march on U
-    (_dense_blocks).  A larger register marches in the q-eigenbasis
-    (_q_blocks) and never forms U; there the norm is that of the state's
-    coordinates, since W is orthogonal.
+    At n <= _DENSE_DIM the states are sector coordinates B^T psi, marched
+    on the even and odd blocks of U side by side (_sectors, _dense_blocks).
+    The amplitudes come through rows of B, (s + a)/sqrt 2 and
+    (s - a)/sqrt 2 at a swapped pair for s the even and a the odd
+    coordinate; the norm is sqrt(||s||^2 + ||a||^2) over the two sectors.
+    A larger register marches in the q-eigenbasis (_q_blocks) and never
+    forms U; there the norm is that of the state's coordinates, since W is
+    orthogonal too.
     """
     if setup.dim > _DENSE_DIM:
         blocks = _q_blocks(setup, mode, psi, steps)
     else:
-        index = _readout_index(setup)
+        rows = _sector_readout(setup)
+        x = _to_sectors(_parity(setup), psi)
         blocks = (
-            (states, states[:, index])
-            for states in _dense_blocks(propagator(setup, mode), psi, steps)
+            (states, states @ rows)
+            for states in _dense_blocks(_sectors(setup, mode), x, steps)
         )
     amps = np.empty((steps + 1, setup.modes + 1))
     norms = np.empty(steps + 1)
@@ -674,9 +798,11 @@ def evolve_quantum_0d(setup, f0, steps, mode="nonhermitian", init="exact"):
 
     The march takes one of two paths, picked only from the register
     dimension n (_DENSE_DIM = 512):
-    - n <= 512: blocked on the dense propagator U = expm(dt G): the first
-      K states come from one product with U each, every later block of K
-      from one matrix-matrix product with U^K.  K = 2^k with
+    - n <= 512: blocked on the even and odd sector blocks of the
+      propagator U = expm(dt G) in the parity basis of the lattice
+      inversion, side by side: the first K states come from one product
+      with each block each, every later block of K from one matrix-matrix
+      product with each block's K-th power.  K = 2^k with
       k = min(4, floor(2 steps / n)), capped at steps + 1; so K = 1 (a
       plain march on U) unless the march is long for its register, and the
       k squarings cost at most twice its flops;

@@ -4,11 +4,12 @@ the theta_m table and fewest-products rule of Al-Mohy and Higham,
 "Computing the action of the matrix exponential, with an application to
 exponential integrators", SIAM J. Sci. Comput. 33 (2011) 488.
 
-`expm` forms T_m(A / s)^s, T_m in about 2 sqrt(m) products (Paterson and
-Stockmeyer, "On the number of nonscalar multiplications necessary to
-evaluate polynomials", SIAM J. Comput. 2 (1973) 60), its s-th power in at
-most 2 log2(s).  `expm_action` forms exp(A) b for one vector b from m s
-products with an operator A, under a 1-norm bound given by the caller.
+`expm` forms e^mu T_m((A - mu I) / s)^s with mu = tr(A) / n, T_m in about
+2 sqrt(m) products (Paterson and Stockmeyer, "On the number of nonscalar
+multiplications necessary to evaluate polynomials", SIAM J. Comput. 2
+(1973) 60), its s-th power in at most 2 log2(s).  `expm_action` forms
+exp(A) b for one vector b from m s products with an operator A, under a
+1-norm bound given by the caller.
 
 Self-contained, so the propagator has no behavior hidden behind a library
 version; tests check accuracy against scipy and via exp(A) exp(-A) = I.
@@ -41,12 +42,16 @@ _MAX_SUBSTEPS = 10_000  # D1Q3 qc=4 takes 346 as dt/tau nears 2
 
 
 def expm(A):
-    """exp(A) in a new array, as T_m(A / s)^s: T_m the degree-m Taylor
-    polynomial, (m, s) = taylor_degree(||A||_1).  A is never written.
+    """exp(A) in a new array, as e^mu T_m((A - mu I) / s)^s: T_m the
+    degree-m Taylor polynomial, mu = tr(A) / n the trace shift and
+    (m, s) = taylor_degree(||A - mu I||_1) (Al-Mohy and Higham 2011, 3.1).
+    The shift keeps the series' terms near the size of exp(A), where a
+    dominant diagonal would make them far larger.  A is never written.
 
-    With X = A / s and p = ceil(sqrt(m + 1)), T_m(X) is summed by Horner's
-    rule in X^p over blocks of p terms, each one vector-matrix product of
-    its 1/k! with the stacked X^0 .. X^p: p - 1 + (m - 1) // p products.
+    With X = (A - mu I) / s and p = ceil(sqrt(m + 1)), T_m(X) is summed by
+    Horner's rule in X^p over blocks of p terms, each one vector-matrix
+    product of its 1/k! with the stacked X^0 .. X^p:
+    p - 1 + (m - 1) // p products.
     """
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -54,20 +59,24 @@ def expm(A):
     n = A.shape[0]
     if n > _MAX_DIM:
         raise TooLarge(f"matrix dimension {n} exceeds {_MAX_DIM}")
-    A = A.astype(complex if np.iscomplexobj(A) else float, copy=False)
+    dtype = complex if np.iscomplexobj(A) else float
+    B = A.astype(dtype)  # A - mu I, a copy
+    mu = np.trace(B) / n if n else 0.0
+    B[np.diag_indices(n)] -= mu
     # a NaN or inf entry makes its column sum, and so the norm, non-finite
-    norm = onenorm(A)
+    norm = onenorm(B)
     if not np.isfinite(norm):
         raise NonFinite("matrix has a non-finite entry or 1-norm")
     m, s = taylor_degree(norm)
     if m == 0:
-        return np.eye(n, dtype=A.dtype)
+        return np.eye(n, dtype=dtype) * np.exp(mu)
     p = isqrt(m) + 1  # ceil(sqrt(m + 1))
     r = (m - 1) // p  # Horner steps; the last block is c_rp .. c_m
     c = np.array([1.0 / factorial(k) for k in range(m + 1)])
-    X = np.empty((min(p, m) + 1, n, n), A.dtype)
+    X = np.empty((min(p, m) + 1, n, n), dtype)
     X[0] = np.eye(n)
-    np.divide(A, s, out=X[1])
+    np.divide(B, s, out=X[1])
+    del B
     for i in range(2, len(X)):
         np.matmul(X[i - 1], X[1], out=X[i])
     flat = X.reshape(len(X), -1)
@@ -77,7 +86,10 @@ def expm(A):
         np.matmul(R, X[p], out=spare)
         np.matmul(c[j * p : (j + 1) * p], flat[:p], out=R.reshape(-1))
         R += spare
-    return np.linalg.matrix_power(R, s)
+    R = np.linalg.matrix_power(R, s)
+    if mu:
+        R *= np.exp(mu)
+    return R
 
 
 def onenorm(A):

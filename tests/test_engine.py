@@ -474,11 +474,29 @@ def test_blocked_march_matches_one_step_march(monkeypatch, qubits, mode):
     )
 
 
+def _one_step_sector_march(setup, mode, psi, steps):
+    # the plain march on the two sector blocks of the propagator: one
+    # product with each block per state, read out through the same rows of
+    # the parity basis as the engine, over all states at once
+    even, odd = engine._sectors(setup, mode)
+    e = len(even)
+    states = np.empty((steps + 1, setup.dim))
+    states[0] = engine._to_sectors(engine._parity(setup), psi)
+    for t in range(1, steps + 1):
+        states[t, :e] = even @ states[t - 1, :e]
+        states[t, e:] = odd @ states[t - 1, e:]
+    norms = np.sqrt(np.einsum("ij,ij->i", states, states))
+    finite = np.all(np.isfinite(states), axis=1)
+    return states @ engine._sector_readout(setup), norms, finite
+
+
 def test_march_within_first_block_is_one_step_march(monkeypatch):
-    # with steps + 1 <= K every state comes from U @ psi, as in the plain
-    # march, and U^K is never formed
+    # with steps + 1 <= K every state comes from one product with each
+    # sector block, as in the plain march on them, and U^K is never formed
     s = _setup(3)
-    ref = _one_step_result(monkeypatch, s, F0, 40, "nonhermitian")
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_march", _one_step_sector_march)
+        ref = engine.evolve_quantum_0d(s, F0, 40, "nonhermitian")
 
     def refuse(*args):
         raise AssertionError("U^K formed without a later block")
@@ -516,6 +534,107 @@ def test_dimension_rule(name, qubits, q_basis):
                 engine.propagator(s, mode)
     assert ("q_form" in s._cache) == q_basis
     assert ("G" in s._cache) != q_basis
+
+
+def _inversion(setup):
+    # the Fock-state permutation of the lattice inversion, from the
+    # velocities: mode i takes the occupation of the mode with -c_i
+    vel = [tuple(v) for v in setup.model.velocities]
+    swap = [vel.index(tuple(-np.array(v))) for v in vel]
+    levels = (setup.cfg.levels,) * setup.modes
+    occupations = np.array(np.unravel_index(np.arange(setup.dim), levels))
+    return np.ravel_multi_index(occupations[swap], levels)
+
+
+def _parity_basis(pi):
+    # B^T, one row per sector coordinate: e_x for each fixed state, then
+    # (e_l + e_h)/sqrt 2 for each pair l < h = pi[l], then (e_l - e_h)/sqrt 2
+    n = len(pi)
+    states = np.arange(n)
+    fixed, low = states[pi == states], states[pi > states]
+    eye = np.eye(n)
+    pairs = eye[low], eye[pi[low]]
+    rows = (eye[fixed], (pairs[0] + pairs[1]) / np.sqrt(2.0),
+            (pairs[0] - pairs[1]) / np.sqrt(2.0))
+    return np.concatenate(rows), len(fixed) + len(low)
+
+
+@pytest.mark.parametrize(
+    "name,qubits,even,odd",
+    [("D1Q3", 1, 6, 2), ("D1Q3", 2, 40, 24), ("D1Q3", 3, 288, 224),
+     ("D2Q9", 1, 272, 240)],
+)
+@pytest.mark.parametrize("mode", engine.MODES)
+def test_generator_commutes_with_lattice_inversion(name, qubits, even, odd,
+                                                   mode):
+    # G commutes with the inversion, so in the parity basis it is an even
+    # and an odd block, which the engine's split reads and its join undoes
+    s = engine.make_setup(lattice.build_lattice(name), qubits)
+    G = engine.generator(s, mode)
+    pi = _inversion(s)
+    size = np.linalg.norm(G)
+    assert np.linalg.norm(G[np.ix_(pi, pi)] - G) <= 1e-13 * size
+    Bt, e = _parity_basis(pi)
+    assert (e, s.dim - e) == (even, odd)
+    par = engine._parity(s)
+    assert np.max(np.abs(engine._to_sectors(par, np.eye(s.dim)) - Bt)) <= 1e-15
+    C = Bt @ G @ Bt.T
+    between = np.linalg.norm(C[:e, e:]) + np.linalg.norm(C[e:, :e])
+    assert between <= 1e-13 * size
+    blocks = engine._split(par, G)
+    assert np.max(np.abs(blocks[0] - C[:e, :e])) <= 1e-13 * size
+    assert np.max(np.abs(blocks[1] - C[e:, e:])) <= 1e-13 * size
+    assert np.max(np.abs(engine._join(par, *blocks) - G)) <= 1e-13 * size
+
+
+def test_dense_path_forms_no_register_wide_operator(monkeypatch):
+    # D1Q3 qc=3 over 1500 steps (K = 16): every expm, matrix power and
+    # march product acts on a sector block, 288 or 224 wide, never on the
+    # 512-wide register; the readout of Q + 1 amplitudes per state is the
+    # one product over all 512 coordinates
+    shapes = {"expm": set(), "matrix_power": set(), "matmul": set()}
+
+    def recording(name, real):
+        def wrapper(*args, **kwargs):
+            operands = args + tuple(kwargs.values())
+            shapes[name].update(np.shape(a) for a in operands)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(engine, "expm", recording("expm", engine.expm))
+    monkeypatch.setattr(
+        np.linalg, "matrix_power",
+        recording("matrix_power", np.linalg.matrix_power),
+    )
+    monkeypatch.setattr(np, "matmul", recording("matmul", np.matmul))
+    s = _setup(3)
+    for mode in engine.MODES:
+        engine.evolve_quantum_0d(s, F0, 1500, mode)
+    assert shapes["expm"] == {(288, 288), (224, 224)}
+    assert shapes["matrix_power"] == {(288, 288), (224, 224), ()}
+    assert (16, 288) in shapes["matmul"] and (16, 224) in shapes["matmul"]
+    assert not any(512 in shape for shape in shapes["matmul"])
+
+
+F0_D2Q9 = np.array([0.4, 0.12, 0.1, 0.11, 0.1, 0.03, 0.025, 0.03, 0.085])
+
+
+@pytest.mark.parametrize("mode", engine.MODES)
+def test_d2q9_sector_march_matches_dense_march(monkeypatch, mode):
+    # D2Q9 qc=1 (n = 512, four mode pairs) at K = 2: the march on the two
+    # sector blocks against one product with the dense U per state, and U,
+    # joined from the blocks, against scipy's expm of the whole generator
+    s = engine.make_setup(lattice.build_lattice("D2Q9"), 1)
+    assert engine._block_size(s.dim, 300) == 2
+    want = scipy.linalg.expm(s.dt * engine.generator(s, mode))
+    assert np.max(np.abs(engine.propagator(s, mode) - want)) <= 1e-14
+    res = engine.evolve_quantum_0d(s, F0_D2Q9, 300, mode)
+    ref = _one_step_result(monkeypatch, s, F0_D2Q9, 300, mode)
+    assert np.max(np.abs(res.decoded - ref.decoded)) <= 1e-12
+    assert np.max(np.abs(res.norms / ref.norms - 1.0)) <= 1e-12
+    assert (res.flagged, res.flag_step, res.flag_reason) == (
+        ref.flagged, ref.flag_step, ref.flag_reason
+    )
 
 
 @pytest.fixture(scope="module")
