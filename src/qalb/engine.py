@@ -80,9 +80,10 @@ class CollisionSetup:
     """A lattice model bound to per-mode registers and a relaxation clock.
 
     modes counts the encoded populations (one bosonic mode each);
-    each mode's propagator, its sector blocks and certificate, and at
-    n <= _DENSE_DIM the generator sum both modes are built from and the
-    parity basis, are memoized on the instance.
+    each mode's sector blocks and certificate, its propagator once asked
+    for, and at n <= _DENSE_DIM the parity blocks of the generator sum
+    both modes are built from and the parity basis, are memoized on the
+    instance.
     """
 
     model: object
@@ -138,27 +139,30 @@ def _terms(rate, i, p_mode=None):
     }
 
 
-def _kron(a, b):
-    """np.kron(a, b) of two matrices, as one broadcast outer product."""
-    (m, n), (p, q) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
-
-
 def _kron_sum(terms, factors):
     """Dense sum of coef * kron(factors[key_0], ..., factors[key_last]).
 
-    Terms are grouped by their leading key, so each distinct leading factor
-    costs one full-size Kronecker product.
+    Terms are grouped by their leading key, and each group adds F[a, b] R,
+    with F its leading factor and R the sum of its rests, into block (a, b)
+    of a zeroed output, for the nonzero entries of F alone; terms on one
+    mode are summed as coef * F.  So each entry is the sum of the same
+    products, in the same order, as from np.kron(F, R) per group: a
+    skipped product is a zero, whose addition changes no value.
     """
-    if not next(iter(terms)):
-        return np.array([[sum(terms.values())]])
+    if len(next(iter(terms))) == 1:
+        return sum(coef * factors[key] for (key,), coef in terms.items())
     groups = {}
     for keys, coef in terms.items():
         groups.setdefault(keys[0], {})[keys[1:]] = coef
-    return sum(
-        _kron(factors[key], _kron_sum(rest, factors))
-        for key, rest in groups.items()
-    )
+    out = None
+    for key, rest in groups.items():
+        F, R = factors[key], _kron_sum(rest, factors)
+        if out is None:
+            out = np.zeros((len(F), len(R), F.shape[1], R.shape[1]))
+        a, b = np.nonzero(F)
+        out[a, :, b] += F[a, b, None, None] * R
+    m, p, n, q = out.shape
+    return out.reshape(m * p, n * q)
 
 
 def omega_operator(setup, i):
@@ -170,51 +174,65 @@ def omega_operator(setup, i):
 
 def generator(setup, mode):
     """Real G with propagator = expm(dt G): sum_i P_i Omega_i, or its
-    antisymmetric half (G - G^T)/2 in hermitized mode.  The sum is
-    memoized on the setup, read-only, at n <= _DENSE_DIM, where both
-    modes' propagators read it."""
+    antisymmetric half (G - G^T)/2 in hermitized mode, built on each call.
+    The dense path reads its parity blocks instead (_generator_blocks)."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    G = setup._cache.get("G")
-    if G is None:
-        rate = classical.bgk_rate(setup.model, setup.tau)
-        terms = {}
-        for i in range(setup.modes):
-            terms.update(_terms(rate, i, p_mode=i))
-        G = _kron_sum(terms, _factors(setup.cfg))
-        if setup.dim <= _DENSE_DIM:
-            G.setflags(write=False)
-            setup._cache["G"] = G
+    rate = classical.bgk_rate(setup.model, setup.tau)
+    terms = {}
+    for i in range(setup.modes):
+        terms.update(_terms(rate, i, p_mode=i))
+    G = _kron_sum(terms, _factors(setup.cfg))
     return G if mode == "nonhermitian" else 0.5 * (G - G.T)
+
+
+def _generator_blocks(setup, mode):
+    """The even and odd blocks of G in the parity basis, from one _split of
+    the generator sum per setup, memoized read-only at n <= _DENSE_DIM,
+    where both modes' propagators and the certificate read it.  In
+    hermitized mode they are (g - g^T)/2 for each block g: B is
+    orthogonal, so _split(G^T) is _split(G)^T exactly."""
+    blocks = setup._cache.get("G sectors")
+    if blocks is None:
+        blocks = _split(_parity(setup), generator(setup, "nonhermitian"))
+        if setup.dim <= _DENSE_DIM:
+            for g in blocks:
+                g.setflags(write=False)
+            setup._cache["G sectors"] = blocks
+    if mode == "hermitized":
+        return tuple(0.5 * (g - g.T) for g in blocks)
+    return blocks
 
 
 def propagator(setup, mode):
     """One-step propagator expm(dt G) = expm(-i dt H), a real matrix in the
-    Fock basis, memoized on the setup, for a register of n <= _DENSE_DIM
-    amplitudes; TooLarge above, where the march goes in the q-eigenbasis.
-    It is formed in the parity basis, one expm per sector block of dt G,
-    and the blocks are memoized too (_sectors)."""
+    Fock basis, for a register of n <= _DENSE_DIM amplitudes; TooLarge
+    above, where the march goes in the q-eigenbasis.  Joined from the
+    sector blocks (_sectors) on request and memoized on the setup; the
+    march and the certificate never ask for it."""
     if setup.dim > _DENSE_DIM:
         raise TooLarge(f"no dense propagator above {_DENSE_DIM} amplitudes")
     key = ("propagator", mode)
     if key not in setup._cache:
-        par = _parity(setup)
-        blocks = tuple(
-            expm(setup.dt * g) for g in _split(par, generator(setup, mode))
-        )
-        setup._cache[("sectors", mode)] = blocks
-        setup._cache[key] = _join(par, *blocks)
+        setup._cache[key] = _join(_parity(setup), *_sectors(setup, mode))
     return setup._cache[key]
 
 
 def _sectors(setup, mode):
     """The even and odd sector blocks of the propagator, which the march
-    advances: the blocks propagator formed U from or, for a U memoized
-    under its key by other means, its _split."""
-    U = propagator(setup, mode)
+    advances, memoized on the setup: one expm per block of dt G
+    (_generator_blocks) or, for a U memoized under the propagator's key by
+    other means, its _split."""
     key = ("sectors", mode)
     if key not in setup._cache:
-        setup._cache[key] = _split(_parity(setup), U)
+        U = setup._cache.get(("propagator", mode))
+        if U is None:
+            blocks = tuple(
+                expm(setup.dt * g) for g in _generator_blocks(setup, mode)
+            )
+        else:
+            blocks = _split(_parity(setup), U)
+        setup._cache[key] = blocks
     return setup._cache[key]
 
 
@@ -481,7 +499,8 @@ def certificate(setup, mode):
 
     In nonhermitian mode at n <= _DENSE_DIM, mu is the larger of the dense
     bounds (_lambda_max_bound) on the even and odd blocks of S in the
-    parity basis (_split), so sigma bounds exactly the block-diagonal
+    parity basis, the symmetric halves of dt g for the memoized blocks g
+    of G (_generator_blocks), so sigma bounds exactly the block-diagonal
     propagator the march advances.  A larger register first tries the
     q-eigenbasis (_q_form) and forms no dense matrix unless neither bound
     decides:
@@ -515,7 +534,7 @@ def certificate(setup, mode):
                 sigma = weyl
         if sigma is None:
             mu = -np.inf
-            for g in _split(_parity(setup), generator(setup, mode)):
+            for g in _generator_blocks(setup, mode):
                 A = setup.dt * g
                 S = np.add(A, A.T)
                 S *= 0.5
@@ -673,10 +692,13 @@ def collision_increments(setup, psi):
 
 def _block_size(n, steps):
     """States per block of the march on a register of dimension n: K = 2^k
-    with k = min(4, floor(2 steps / n)), so the k squarings that form U^K
+    with k = min(6, floor(2 steps / n)), so the k squarings that form U^K
     cost at most twice the march's n^2 flops per step; capped at steps + 1,
-    so U^K is formed only when a later block exists."""
-    return min(2 ** min(4, 2 * steps // n), steps + 1)
+    so U^K is formed only when a later block exists.  Wider blocks gain
+    nothing past K = 64: 1500 steps of both modes take 3.4 ms at K = 16,
+    1.7 ms at K = 64 and 1.7 ms at K = 128 at n = 64, and 4.7, 2.1 and
+    2.3 ms at n = 8 (2 cores)."""
+    return min(2 ** min(6, 2 * steps // n), steps + 1)
 
 
 def _dense_blocks(sectors, x, steps):
@@ -803,7 +825,7 @@ def evolve_quantum_0d(setup, f0, steps, mode="nonhermitian", init="exact"):
       inversion, side by side: the first K states come from one product
       with each block each, every later block of K from one matrix-matrix
       product with each block's K-th power.  K = 2^k with
-      k = min(4, floor(2 steps / n)), capped at steps + 1; so K = 1 (a
+      k = min(6, floor(2 steps / n)), capped at steps + 1; so K = 1 (a
       plain march on U) unless the march is long for its register, and the
       k squarings cost at most twice its flops;
     - n > 512: in the joint eigenbasis W of the truncated q, where the

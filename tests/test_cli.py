@@ -274,17 +274,30 @@ def test_streaming_demo(tmp_path, capsys):
 
 
 def test_quantum_builds_one_generator_per_qc(tmp_path, monkeypatch):
-    # both modes of a qc share one setup, so one build of its generator
+    # both modes of a qc share one setup, so one build of its generator and
+    # one split of it into parity blocks; no march asks for the joined U
     from qalb import engine
 
-    calls = []
-    real = engine._factors
+    calls, splits, joins = [], [], []
+    real_factors, real_split, real_join = (
+        engine._factors, engine._split, engine._join
+    )
 
     def counting(cfg):
         calls.append(cfg.qubits)
-        return real(cfg)
+        return real_factors(cfg)
+
+    def counting_split(par, M):
+        splits.append(len(M))
+        return real_split(par, M)
+
+    def counting_join(par, even, odd):
+        joins.append(len(even) + len(odd))
+        return real_join(par, even, odd)
 
     monkeypatch.setattr(engine, "_factors", counting)
+    monkeypatch.setattr(engine, "_split", counting_split)
+    monkeypatch.setattr(engine, "_join", counting_join)
     out = tmp_path / "q.csv"
     code = cli.main(
         ["quantum", "--set", "steps=3", "--set", "qc=1,2",
@@ -292,6 +305,8 @@ def test_quantum_builds_one_generator_per_qc(tmp_path, monkeypatch):
     )
     assert code == 0
     assert calls == [1, 2]
+    assert splits == [8, 64]
+    assert joins == []
 
 
 def test_quantum_flagged_exit_code(tmp_path, monkeypatch):

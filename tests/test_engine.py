@@ -78,6 +78,27 @@ def test_kron_sum_matches_np_kron_bit_for_bit(name, qubits):
     )
 
 
+def test_kron_sum_of_sparse_factors_matches_np_kron_bit_for_bit():
+    # two modes of L = 16 levels: the banded factors P^p q^k and one with
+    # twelve scattered nonzeros, whose zero entries the block-sparse sum
+    # skips where np.kron multiplies them
+    factors = engine._factors(fock.FockConfig(4))
+    rng = np.random.default_rng(16)
+    scattered = np.zeros(256)
+    scattered[rng.choice(256, 12, replace=False)] = rng.standard_normal(12)
+    factors["scattered"] = scattered.reshape(16, 16)
+    keys = list(factors)
+    terms = {
+        (keys[a], keys[b]): float(c)
+        for a, b, c in zip(
+            rng.integers(len(keys), size=24), rng.integers(len(keys), size=24),
+            rng.standard_normal(24),
+        )
+    }
+    want = oracles.kron_sum(terms, factors)
+    assert np.array_equal(engine._kron_sum(terms, factors), want)
+
+
 def test_omega_operator_symmetric():
     s = _setup(2)
     for i in range(3):
@@ -130,12 +151,18 @@ def test_generator_matches_dense_lift_oracle(qubits, mode):
         engine.generator(s, "magic")
 
 
-@pytest.mark.parametrize("qubits", [2, 3])
+@pytest.mark.parametrize("qubits", [1, 2, 3])
 @pytest.mark.parametrize("mode", engine.MODES)
 def test_propagator_matches_scipy_expm(qubits, mode):
+    # the march leaves U unjoined; asked for, propagator joins it from the
+    # sector blocks the march advanced, once
     s = _setup(qubits)
+    engine.evolve_quantum_0d(s, F0, 3, mode)
+    assert ("propagator", mode) not in s._cache
     want = scipy.linalg.expm(s.dt * engine.generator(s, mode))
-    assert np.max(np.abs(engine.propagator(s, mode) - want)) <= 1e-14
+    U = engine.propagator(s, mode)
+    assert np.max(np.abs(U - want)) <= 1e-14
+    assert engine.propagator(s, mode) is U
 
 
 @pytest.mark.parametrize("qubits", [2, 3])
@@ -323,16 +350,15 @@ def test_lambda_max_bound_grows_delta_when_cholesky_fails(monkeypatch):
 
 
 def test_generator_built_once_per_mode(monkeypatch):
-    # the nonhermitian propagator and certificate each read the memoized
-    # sum; the hermitized half is built once, by the propagator, since its
+    # both modes' propagators and the nonhermitian certificate read the
+    # memoized split of one build of the generator sum, and the hermitized
     # certificate builds nothing; repeats and the march build none
     calls = []
     real = engine.generator
 
     def counting(setup, mode):
-        G = real(setup, mode)
-        calls.append((mode, G is setup._cache.get("G")))
-        return G
+        calls.append(mode)
+        return real(setup, mode)
 
     monkeypatch.setattr(engine, "generator", counting)
     s = _setup(2)
@@ -340,14 +366,12 @@ def test_generator_built_once_per_mode(monkeypatch):
         engine.propagator(s, mode)
         engine.certificate(s, mode)
         engine.evolve_quantum_0d(s, F0, 3, mode=mode)
-    assert sorted(calls) == [
-        ("hermitized", False), ("nonhermitian", True), ("nonhermitian", True)
-    ]
+    assert calls == ["nonhermitian"]
 
 
 def test_modes_share_one_generator_sum(monkeypatch):
-    # at n <= 512 both modes of a setup read one read-only build of the sum,
-    # and no A is kept once its propagator exists
+    # at n <= 512 both modes of a setup read one read-only split of one
+    # build of the sum, and no A is kept once its propagator exists
     calls = []
     real = engine._factors
 
@@ -361,8 +385,9 @@ def test_modes_share_one_generator_sum(monkeypatch):
         engine.evolve_quantum_0d(s, F0, 3, mode=mode)
         assert ("A", mode) not in s._cache
     assert len(calls) == 1
-    with pytest.raises(ValueError, match="read-only"):
-        engine.generator(s, "nonhermitian")[0, 0] = 0.0
+    for block in engine._generator_blocks(s, "nonhermitian"):
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0] = 0.0
 
 
 def test_hermitized_certificate_builds_nothing(monkeypatch):
@@ -461,10 +486,10 @@ def _one_step_result(monkeypatch, setup, f0, steps, mode):
 @pytest.mark.parametrize("qubits", [2, 3])
 @pytest.mark.parametrize("mode", engine.MODES)
 def test_blocked_march_matches_one_step_march(monkeypatch, qubits, mode):
-    # 1500 steps at K = 16: 93 blocks from products with U^16, the last
-    # one partial
+    # 1500 steps at K = 64 (qc=2) and K = 32 (qc=3): 23 and 46 blocks
+    # from products with U^K, the last one partial
     s = _setup(qubits)
-    assert engine._block_size(s.dim, 1500) == 16
+    assert engine._block_size(s.dim, 1500) == {2: 64, 3: 32}[qubits]
     res = engine.evolve_quantum_0d(s, F0, 1500, mode)
     ref = _one_step_result(monkeypatch, s, F0, 1500, mode)
     assert np.max(np.abs(res.decoded - ref.decoded)) <= 1e-12
@@ -509,7 +534,7 @@ def test_march_within_first_block_is_one_step_march(monkeypatch):
 
 @pytest.mark.parametrize(
     "n,steps,K",
-    [(4096, 2, 1), (4096, 1000, 1), (512, 1500, 16), (64, 1500, 16)],
+    [(4096, 2, 1), (4096, 1000, 1), (512, 1500, 32), (64, 1500, 64)],
 )
 def test_block_rule(n, steps, K):
     assert engine._block_size(n, steps) == K
@@ -521,19 +546,21 @@ def test_block_rule(n, steps, K):
      ("D1Q3", 4, True)],
 )
 def test_dimension_rule(name, qubits, q_basis):
-    # registers up to 512 march on the dense propagator; D1Q3 qc=4 (4096)
+    # registers up to 512 march on the sector blocks of the dense
+    # propagator, which is joined only on request; D1Q3 qc=4 (4096)
     # marches in the q-eigenbasis, and asking it for a propagator raises
     model = lattice.build_lattice(name)
     s = engine.make_setup(model, qubits)
     assert (s.dim > engine._DENSE_DIM) == q_basis
     for mode in engine.MODES:
         engine.evolve_quantum_0d(s, model.weights, 2, mode)
-        assert (("propagator", mode) in s._cache) != q_basis
+        assert (("sectors", mode) in s._cache) != q_basis
+        assert ("propagator", mode) not in s._cache
         if q_basis:
             with pytest.raises(TooLarge):
                 engine.propagator(s, mode)
     assert ("q_form" in s._cache) == q_basis
-    assert ("G" in s._cache) != q_basis
+    assert ("G sectors" in s._cache) != q_basis
 
 
 def _inversion(setup):
@@ -588,7 +615,7 @@ def test_generator_commutes_with_lattice_inversion(name, qubits, even, odd,
 
 
 def test_dense_path_forms_no_register_wide_operator(monkeypatch):
-    # D1Q3 qc=3 over 1500 steps (K = 16): every expm, matrix power and
+    # D1Q3 qc=3 over 1500 steps (K = 32): every expm, matrix power and
     # march product acts on a sector block, 288 or 224 wide, never on the
     # 512-wide register; the readout of Q + 1 amplitudes per state is the
     # one product over all 512 coordinates
@@ -612,7 +639,7 @@ def test_dense_path_forms_no_register_wide_operator(monkeypatch):
         engine.evolve_quantum_0d(s, F0, 1500, mode)
     assert shapes["expm"] == {(288, 288), (224, 224)}
     assert shapes["matrix_power"] == {(288, 288), (224, 224), ()}
-    assert (16, 288) in shapes["matmul"] and (16, 224) in shapes["matmul"]
+    assert (32, 288) in shapes["matmul"] and (32, 224) in shapes["matmul"]
     assert not any(512 in shape for shape in shapes["matmul"])
 
 
@@ -850,13 +877,13 @@ _INJECTED = [
     "U,reason", [c[1:] for c in _INJECTED], ids=[c[0] for c in _INJECTED]
 )
 def test_injected_propagator_flags_first_step(U, reason):
-    # dim 8 at 40 steps gives K = 16: steps 16-40 come from products with
-    # U^16, so NaN or overflow inside U^16 itself is marched too
-    assert engine._block_size(8, 40) == 16
-    res = engine.evolve_quantum_0d(_injected_setup(U), F0, 40)
+    # dim 8 at 100 steps gives K = 64: steps 64-100 come from products
+    # with U^64, so NaN or overflow inside U^64 itself is marched too
+    assert engine._block_size(8, 100) == 64
+    res = engine.evolve_quantum_0d(_injected_setup(U), F0, 100)
     assert res.flagged
     assert (res.flag_step, res.flag_reason) == (1, reason)
-    assert res.decoded.shape == (41, 3) and res.norms.shape == (41,)
+    assert res.decoded.shape == (101, 3) and res.norms.shape == (101,)
     assert np.max(np.abs(res.decoded[0] - F0)) < 1e-13
 
 

@@ -102,14 +102,20 @@ def _check_expm(a):
 @pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
 def test_expm_each_degree_matches_scipy(m, banded, complex_input):
     # just below theta_m the Taylor series has degree m; just above, the
-    # degree switches (to s = 2 substeps past theta_55).  The banded case
-    # has lower and upper bandwidths that differ, like the Carleman chain.
+    # degree switches (to s = 2 substeps past theta_55).  expm picks the
+    # degree from ||a - mu I||_1, mu = tr(a) / n, so a is made traceless
+    # before it is scaled.  The banded case has lower and upper bandwidths
+    # that differ, like the Carleman chain.
     rng = np.random.default_rng(m)
     n, band = (60, 3) if banded else (40, None)
     for side in (0.99, 1.01):
         norm = side * linalg._THETA_TAYLOR[m]
-        a = _scaled(rng, n, norm, complex_input, band)
-        assert (linalg.taylor_degree(linalg.onenorm(a))[0] == m) == (side < 1)
+        a = _scaled(rng, n, 1.0, complex_input, band)
+        a[np.diag_indices(n)] -= np.trace(a) / n
+        a *= norm / linalg.onenorm(a)
+        shifted = a - np.trace(a) / n * np.eye(n)
+        degree = linalg.taylor_degree(linalg.onenorm(shifted))[0]
+        assert (degree == m) == (side < 1)
         _check_expm(a)
 
 
