@@ -2,9 +2,9 @@
 
 Classical relaxation references, Carleman linearization of the collision
 nonlinearity, truncated bosonic registers with Pauli compilation, the
-encoded collision engine with its divergence monitors, streaming as
-controlled binary increments, closed-form truncation-error bounds, and
-resource estimates, plus the `qalb` command-line driver.
+encoded collision engine, the march and checks that any register shares,
+streaming as controlled binary increments, closed-form truncation-error
+bounds, and resource estimates, plus the `qalb` command-line driver.
 """
 
 __version__ = "0.1.0"
@@ -19,6 +19,7 @@ from . import (
     fock,
     lattice,
     linalg,
+    march,
     pauli,
     streaming,
 )
@@ -34,6 +35,7 @@ __all__ = [
     "fock",
     "lattice",
     "linalg",
+    "march",
     "pauli",
     "streaming",
 ]

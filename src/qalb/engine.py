@@ -16,29 +16,32 @@ written form of the BGK rate.
 
 Registers of up to 512 amplitudes are marched and certified on dense
 matrices in the parity basis of the lattice inversion c -> -c.  Every
-velocity set here is closed under it, and the BGK equilibrium is
-equivariant, so G commutes with the permutation Pi of Fock states that
-swaps mode i with the mode of -c_i and keeps rest modes.  The fixed states
-and the sums (e_x + e_Pi x)/sqrt 2 of swapped pairs span the even sector,
-the differences (e_x - e_Pi x)/sqrt 2 the odd one, and G, its propagator,
-the propagator's powers and the certificate's S are each two diagonal
-blocks there: 288 + 224 of 512 amplitudes at D1Q3 qc=3, 272 + 240 at D2Q9
-qc=1.  A larger register (D1Q3 at 4 qubits per mode, 4096) works in the
-joint eigenbasis W of the truncated q instead: there every
-Omega_i(q) is diagonal, so dt G = W (sum_i P~_i D_i) W^T with
-P~ = V^T P V one L x L matrix.  Its march advances by the action of the
-exponential, and its certificate decides from a Weyl bound and a Lanczos
-lower bound before it falls back to the dense one.
+velocity set here is closed under it and the BGK equilibrium is
+equivariant, so G commutes with the permutation of Fock states that swaps
+mode i with the mode of -c_i, and G, its propagator, the propagator's
+powers and the certificate's S are each an even and an odd block: 288 +
+224 of 512 amplitudes at D1Q3 qc=3, 272 + 240 at D2Q9 qc=1.  A larger
+register (D1Q3 at 4 qubits per mode, 4096) works in the joint eigenbasis W
+of the truncated q instead: there every Omega_i(q) is diagonal, so
+dt G = W (sum_i P~_i D_i) W^T with P~ = V^T P V one L x L matrix.  Its
+march advances by the action of the exponential, and its certificate
+decides from a Weyl bound and a Lanczos lower bound before it falls back
+to the dense one.
+
+The parity basis, the march and the ordered checks are qalb.march's, for
+any register: the engine hands it the sector blocks or q-eigenbasis
+states, the readout index, the ratio bound bound * CERTIFICATE_MARGIN and
+the ground amplitudes, which the decode divides by.
 """
 
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from math import exp, log, sqrt
-from typing import NamedTuple, Optional
+from math import exp, log
+from typing import NamedTuple
 
 import numpy as np
 
-from . import classical, fock
+from . import classical, fock, march
 from .errors import OutOfRange, TooLarge
 from .linalg import _MAX_DIM, expm, expm_action
 
@@ -79,11 +82,10 @@ def relative_error(quantum, reference):
 class CollisionSetup:
     """A lattice model bound to per-mode registers and a relaxation clock.
 
-    modes counts the encoded populations (one bosonic mode each);
-    each mode's sector blocks and certificate, its propagator once asked
-    for, and at n <= _DENSE_DIM the parity blocks of the generator sum
-    both modes are built from and the parity basis, are memoized on the
-    instance.
+    modes counts the encoded populations (one bosonic mode each).  Each
+    mode's sector blocks and certificate, its propagator once asked for,
+    and at n <= _DENSE_DIM the parity basis and the parity blocks of the
+    generator sum are memoized on the instance.
     """
 
     model: object
@@ -187,14 +189,14 @@ def generator(setup, mode):
 
 
 def _generator_blocks(setup, mode):
-    """The even and odd blocks of G in the parity basis, from one _split of
-    the generator sum per setup, memoized read-only at n <= _DENSE_DIM,
-    where both modes' propagators and the certificate read it.  In
-    hermitized mode they are (g - g^T)/2 for each block g: B is
-    orthogonal, so _split(G^T) is _split(G)^T exactly."""
+    """The even and odd blocks of G in the parity basis, from one
+    march.split of the generator sum per setup, memoized read-only at
+    n <= _DENSE_DIM, where both modes' propagators and the certificate read
+    it.  In hermitized mode they are (g - g^T)/2 for each block g: B is
+    orthogonal, so split(G^T) is split(G)^T exactly."""
     blocks = setup._cache.get("G sectors")
     if blocks is None:
-        blocks = _split(_parity(setup), generator(setup, "nonhermitian"))
+        blocks = march.split(_parity(setup), generator(setup, "nonhermitian"))
         if setup.dim <= _DENSE_DIM:
             for g in blocks:
                 g.setflags(write=False)
@@ -214,97 +216,34 @@ def propagator(setup, mode):
         raise TooLarge(f"no dense propagator above {_DENSE_DIM} amplitudes")
     key = ("propagator", mode)
     if key not in setup._cache:
-        setup._cache[key] = _join(_parity(setup), *_sectors(setup, mode))
+        setup._cache[key] = march.join(
+            _parity(setup), *_sectors(setup, mode)
+        )
     return setup._cache[key]
 
 
 def _sectors(setup, mode):
     """The even and odd sector blocks of the propagator, which the march
     advances, memoized on the setup: one expm per block of dt G
-    (_generator_blocks) or, for a U memoized under the propagator's key by
-    other means, its _split."""
+    (_generator_blocks)."""
     key = ("sectors", mode)
     if key not in setup._cache:
-        U = setup._cache.get(("propagator", mode))
-        if U is None:
-            blocks = tuple(
-                expm(setup.dt * g) for g in _generator_blocks(setup, mode)
-            )
-        else:
-            blocks = _split(_parity(setup), U)
-        setup._cache[key] = blocks
+        setup._cache[key] = tuple(
+            expm(setup.dt * g) for g in _generator_blocks(setup, mode)
+        )
     return setup._cache[key]
 
 
-class _Parity(NamedTuple):
-    """The parity basis B = [E O] of the register under the lattice
-    inversion Pi, an orthogonal matrix: E holds e_x for each fixed state
-    x, then (e_l + e_h)/sqrt 2 for each swapped pair l < h = Pi l (the even
-    sector), O holds (e_l - e_h)/sqrt 2 (the odd one).  B^T x are the
-    sector coordinates of x."""
-
-    order: np.ndarray  # fixed states, then each pair's l, then its h
-    fixed: int  # number of fixed states
-    pairs: int  # number of swapped pairs: the odd sector's size
-
-
 def _parity(setup):
-    """The _Parity of the setup, memoized.  Pi reorders the mode axes of a
-    Fock state by the inversion of the lattice's velocities."""
+    """The march.Parity of the setup, memoized.  Pi reorders the mode axes
+    of a Fock state by the inversion of the lattice's velocities."""
     if "parity" not in setup._cache:
         vel = setup.model.velocities
         inverse = np.nonzero(np.all(vel[None] == -vel[:, None], axis=2))[1]
         L, Q = setup.cfg.levels, setup.modes
-        states = np.arange(setup.dim)
-        image = states.reshape((L,) * Q).transpose(inverse).reshape(-1)
-        low = states[states < image]
-        fixed = states[states == image]
-        setup._cache["parity"] = _Parity(
-            np.concatenate((fixed, low, image[low])), fixed.size, low.size
-        )
+        image = np.arange(setup.dim).reshape((L,) * Q).transpose(inverse)
+        setup._cache["parity"] = march.parity(image.reshape(-1))
     return setup._cache["parity"]
-
-
-_R2 = sqrt(0.5)
-
-
-def _to_sectors(par, x):
-    """B^T x along the first axis of x: its sector coordinates."""
-    f, k = par.fixed, par.pairs
-    y = x[par.order]
-    low, high = y[f : f + k], y[f + k :]
-    return np.concatenate((y[:f], (low + high) * _R2, (low - high) * _R2))
-
-
-def _split(par, M):
-    """The even and odd diagonal blocks of B^T M B, from the fixed (F),
-    pair-low (L) and pair-high (H) blocks of M.  For M that commutes with
-    Pi the blocks between the sectors vanish up to round-off, so these two
-    are the operator M acts as."""
-    f, k = par.fixed, par.pairs
-    A = M.take(par.order, axis=0).take(par.order, axis=1)
-    F, L, H = slice(0, f), slice(f, f + k), slice(f + k, None)
-    same = A[L, L] + A[H, H]
-    swap = A[L, H] + A[H, L]
-    even = np.block([
-        [A[F, F], (A[F, L] + A[F, H]) * _R2],
-        [(A[L, F] + A[H, F]) * _R2, (same + swap) * 0.5],
-    ])
-    return even, (same - swap) * 0.5
-
-
-def _join(par, even, odd):
-    """The Fock-basis matrix B diag(even, odd) B^T."""
-    f = par.fixed
-    top, side, pairs = even[:f, f:] * _R2, even[f:, :f] * _R2, even[f:, f:]
-    same, swap = (pairs + odd) * 0.5, (pairs - odd) * 0.5
-    A = np.block([
-        [even[:f, :f], top, top],
-        [side, same, swap],
-        [side, swap, same],
-    ])
-    position = np.argsort(par.order)
-    return A.take(position, axis=0).take(position, axis=1)
 
 
 # Largest register with a dense propagator, marched and certified on dense
@@ -690,47 +629,6 @@ def collision_increments(setup, psi):
     return fock.ratio_decode(amps)
 
 
-def _block_size(n, steps):
-    """States per block of the march on a register of dimension n: K = 2^k
-    with k = min(6, floor(2 steps / n)), so the k squarings that form U^K
-    cost at most twice the march's n^2 flops per step; capped at steps + 1,
-    so U^K is formed only when a later block exists.  Wider blocks gain
-    nothing past K = 64: 1500 steps of both modes take 3.4 ms at K = 16,
-    1.7 ms at K = 64 and 1.7 ms at K = 128 at n = 64, and 4.7, 2.1 and
-    2.3 ms at n = 8 (2 cores)."""
-    return min(2 ** min(6, 2 * steps // n), steps + 1)
-
-
-def _dense_blocks(sectors, x, steps):
-    """x, U x, ..., U^steps x for U = diag(even, odd), the two sectors, in
-    blocks of K = _block_size(n, steps) states (rows), n = x.size: both
-    sectors advance in step, each on its own run of the columns.  The
-    first block applies U once per state; every later block is one
-    matrix-matrix product per sector with its K-th power (the sector block
-    itself at K = 1), formed only when a later block exists.  Blocks are
-    yielded from two buffers that are reused."""
-    K = _block_size(x.size, steps)
-    e = len(sectors[0])
-    runs = (slice(0, e), slice(e, x.size))
-    block = np.empty((K, x.size))
-    block[0] = x
-    for j in range(1, K):
-        for U, run in zip(sectors, runs):
-            np.matmul(U, block[j - 1, run], out=block[j, run])
-    yield block
-    if K > steps:
-        return
-    powers = [np.linalg.matrix_power(U, K) for U in sectors]
-    spare = np.empty_like(block)
-    for start in range(K, steps + 1, K):
-        rows = min(K, steps + 1 - start)
-        # state start + j is U^K applied to state start - K + j
-        for P, run in zip(powers, runs):
-            np.matmul(block[:rows, run], P.T, out=spare[:rows, run])
-        block, spare = spare, block
-        yield block[:rows]
-
-
 def _q_blocks(setup, mode, psi, steps):
     """(states, readout amplitudes) of psi, then of each state the action
     of expm(dt G~) (its hermitized half in hermitized mode) on the one
@@ -750,90 +648,11 @@ def _q_blocks(setup, mode, psi, steps):
         yield x[None], form.readout @ x
 
 
-def _sector_readout(setup):
-    """Rows of B at _readout_index, one per column: sector coordinates x
-    read out as x @ rows."""
-    index = _readout_index(setup)
-    onehot = np.zeros((setup.dim, index.size))
-    onehot[index, np.arange(index.size)] = 1.0
-    return _to_sectors(_parity(setup), onehot)
-
-
-def _march(setup, mode, psi, steps):
-    """Readout amplitudes, norms and finiteness of the states psi, U psi,
-    ..., U^steps psi, with U = expm(dt G) the propagator of mode, taken a
-    block of states at a time; the (steps + 1) x n history is never held.
-
-    At n <= _DENSE_DIM the states are sector coordinates B^T psi, marched
-    on the even and odd blocks of U side by side (_sectors, _dense_blocks).
-    The amplitudes come through rows of B, (s + a)/sqrt 2 and
-    (s - a)/sqrt 2 at a swapped pair for s the even and a the odd
-    coordinate; the norm is sqrt(||s||^2 + ||a||^2) over the two sectors.
-    A larger register marches in the q-eigenbasis (_q_blocks) and never
-    forms U; there the norm is that of the state's coordinates, since W is
-    orthogonal too.
-    """
-    if setup.dim > _DENSE_DIM:
-        blocks = _q_blocks(setup, mode, psi, steps)
-    else:
-        rows = _sector_readout(setup)
-        x = _to_sectors(_parity(setup), psi)
-        blocks = (
-            (states, states @ rows)
-            for states in _dense_blocks(_sectors(setup, mode), x, steps)
-        )
-    amps = np.empty((steps + 1, setup.modes + 1))
-    norms = np.empty(steps + 1)
-    finite = np.empty(steps + 1, dtype=bool)
-    start = 0
-    for states, readout in blocks:
-        stop = start + len(states)
-        amps[start:stop] = readout
-        norm = np.sqrt(np.einsum("ij,ij->i", states, states))
-        norms[start:stop] = norm
-        # a NaN or inf entry makes the sum of squares non-finite, so only
-        # those states are scanned; an overflowed norm of finite entries
-        # is finite
-        fin = np.isfinite(norm)
-        fin[~fin] = np.all(np.isfinite(states[~fin]), axis=1)
-        finite[start:stop] = fin
-        start = stop
-    return amps, norms, finite
-
-
-@dataclass
-class EvolutionResult:
-    times: np.ndarray
-    decoded: np.ndarray  # (steps + 1, Q)
-    norms: np.ndarray
-    norms_corrected: np.ndarray
-    classical: np.ndarray  # the BGK map at the same dt, in closed form
-    rel_err: np.ndarray  # max component relative error per step
-    mass: np.ndarray
-    flagged: bool
-    flag_step: Optional[int]
-    flag_reason: Optional[str]
-
-
 def evolve_quantum_0d(setup, f0, steps, mode="nonhermitian", init="exact"):
     """March the encoded register, then decode and check every step.
 
-    The march takes one of two paths, picked only from the register
-    dimension n (_DENSE_DIM = 512):
-    - n <= 512: blocked on the even and odd sector blocks of the
-      propagator U = expm(dt G) in the parity basis of the lattice
-      inversion, side by side: the first K states come from one product
-      with each block each, every later block of K from one matrix-matrix
-      product with each block's K-th power.  K = 2^k with
-      k = min(6, floor(2 steps / n)), capped at steps + 1; so K = 1 (a
-      plain march on U) unless the march is long for its register, and the
-      k squarings cost at most twice its flops;
-    - n > 512: in the joint eigenbasis W of the truncated q, where the
-      state enters once through W^T and each state is the action of the
-      exponential on the one before (linalg.expm_action on Q diagonal
-      scalings and Q one-axis products with P~ = V^T P V per product), so
-      no n x n matrix is formed.
-    Both paths feed the same records and checks, after the certificate.
+    The march goes on sector blocks at n <= _DENSE_DIM and in the
+    q-eigenbasis above; the certificate's flag outranks every check.
 
     Preconditions: the populations sum to one and each lies in [-1, 1].
     Divergence never raises; the result carries the first flagged step and
@@ -845,38 +664,29 @@ def evolve_quantum_0d(setup, f0, steps, mode="nonhermitian", init="exact"):
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    Q, D = setup.model.Q, setup.model.D
     f0 = np.asarray(f0, dtype=float)
-    if f0.shape != (setup.model.Q,):
-        raise ValueError(
-            f"f0 must have shape ({setup.model.Q},), got {f0.shape}"
-        )
+    if f0.shape != (Q,):
+        raise ValueError(f"f0 must have shape ({Q},), got {f0.shape}")
     if abs(f0.sum() - 1.0) > 1e-12:
         raise ValueError(f"populations must sum to 1, got {float(f0.sum())!r}")
     if np.any(np.abs(f0) > 1.0):
         raise OutOfRange("each population must lie in [-1, 1]")
-    Q, D = setup.model.Q, setup.model.D
     tau, dt = setup.tau, setup.dt
     _, bound, cert_flagged = certificate(setup, mode)
     psi = initial_state(setup, f0, init=init)
-    amps, norms, finite = _march(setup, mode, psi, steps)
-    decoded = fock.ratio_decode(amps)
-    before, after = norms[:-1], norms[1:]
-    ratio_bound = bound * CERTIFICATE_MARGIN
-    # checks of steps 1.. in priority order: first failing step, then entry
-    with np.errstate(divide="ignore", invalid="ignore"):
-        checks = (
-            ("non-finite state", ~finite[1:]),
-            ("vanished norm", (after == 0.0) | (before == 0.0)),
-            ("norm growth monitor", after / before > ratio_bound),
-            ("ground amplitude zero", amps[1:, 0] == 0.0),
-            ("decoded population outside [-1, 1]",
-             np.any(np.abs(decoded[1:]) > 1.0, axis=1)),
+    if setup.dim > _DENSE_DIM:
+        blocks = _q_blocks(setup, mode, psi, steps)
+        amps, norms, finite = march.records(blocks, steps, Q + 1)
+    else:
+        amps, norms, finite = march.sector_march(
+            _parity(setup), _sectors(setup, mode), psi,
+            _readout_index(setup), steps,
         )
-    failed = np.array([mask for _, mask in checks])
-    flag_step, flag_reason = None, None
-    if failed.any():
-        t = int(np.argmax(failed.any(axis=0)))
-        flag_step, flag_reason = t + 1, checks[int(np.argmax(failed[:, t]))][0]
+    decoded = fock.ratio_decode(amps)
+    flag_step, flag_reason = march.first_flag(
+        finite, norms, bound * CERTIFICATE_MARGIN, amps[:, 0], decoded
+    )
     if cert_flagged:
         flag_step, flag_reason = 0, "operator-norm certificate"
     T = np.arange(steps + 1) if mode == "hermitized" else 0
@@ -885,15 +695,9 @@ def evolve_quantum_0d(setup, f0, steps, mode="nonhermitian", init="exact"):
     errs, _ = relative_error(decoded, cls)
     # fmax skips NaN entries, and an all-NaN row stays NaN without a warning
     rel = np.fmax.reduce(errs, axis=1)
-    return EvolutionResult(
-        times=np.arange(steps + 1) * dt,
-        decoded=decoded,
-        norms=norms,
-        norms_corrected=norms_corr,
-        classical=cls,
-        rel_err=rel,
-        mass=decoded.sum(axis=1),
-        flagged=flag_step is not None,
-        flag_step=flag_step,
-        flag_reason=flag_reason,
+    return march.EvolutionResult(
+        times=np.arange(steps + 1) * dt, decoded=decoded, norms=norms,
+        norms_corrected=norms_corr, classical=cls, rel_err=rel,
+        mass=decoded.sum(axis=1), flagged=flag_step is not None,
+        flag_step=flag_step, flag_reason=flag_reason,
     )

@@ -451,6 +451,21 @@ def zero_vectors(cfg):
     return lo, hi
 
 
+def parity_basis(pi):
+    """B^T of the parity basis of the involution pi, one row per sector
+    coordinate: e_x for each fixed state, then (e_l + e_h)/sqrt 2 for each
+    pair l < h = pi[l], then (e_l - e_h)/sqrt 2; with the even sector's
+    size."""
+    n = len(pi)
+    states = np.arange(n)
+    fixed, low = states[pi == states], states[pi > states]
+    eye = np.eye(n)
+    pairs = eye[low], eye[pi[low]]
+    rows = (eye[fixed], (pairs[0] + pairs[1]) / np.sqrt(2.0),
+            (pairs[0] - pairs[1]) / np.sqrt(2.0))
+    return np.concatenate(rows), len(fixed) + len(low)
+
+
 # --- q-eigenbasis engine operators ------------------------------------
 
 

@@ -276,11 +276,11 @@ def test_streaming_demo(tmp_path, capsys):
 def test_quantum_builds_one_generator_per_qc(tmp_path, monkeypatch):
     # both modes of a qc share one setup, so one build of its generator and
     # one split of it into parity blocks; no march asks for the joined U
-    from qalb import engine
+    from qalb import engine, march
 
     calls, splits, joins = [], [], []
     real_factors, real_split, real_join = (
-        engine._factors, engine._split, engine._join
+        engine._factors, march.split, march.join
     )
 
     def counting(cfg):
@@ -296,8 +296,8 @@ def test_quantum_builds_one_generator_per_qc(tmp_path, monkeypatch):
         return real_join(par, even, odd)
 
     monkeypatch.setattr(engine, "_factors", counting)
-    monkeypatch.setattr(engine, "_split", counting_split)
-    monkeypatch.setattr(engine, "_join", counting_join)
+    monkeypatch.setattr(march, "split", counting_split)
+    monkeypatch.setattr(march, "join", counting_join)
     out = tmp_path / "q.csv"
     code = cli.main(
         ["quantum", "--set", "steps=3", "--set", "qc=1,2",

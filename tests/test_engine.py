@@ -8,7 +8,7 @@ import oracles
 import pytest
 import scipy.linalg
 
-from qalb import classical, engine, fock, lattice, linalg
+from qalb import classical, engine, fock, lattice, linalg, march
 from qalb.errors import OutOfRange, TauTooSmall, TooLarge
 
 D1Q3 = lattice.build_lattice("D1Q3")
@@ -460,11 +460,11 @@ def test_decode_outside_input_domain_flags(monkeypatch):
         assert res.flag_step == ref.flag_step
 
 
-def _one_step_march(setup, mode, psi, steps):
-    # the plain march on the dense propagator, whatever the path rule says:
-    # one U @ psi per state, each state scanned in full
-    U = engine.propagator(setup, mode)
-    index = engine._readout_index(setup)
+def _one_step_march(par, sectors, psi, index, steps):
+    # the plain march on the propagator joined from the sector blocks,
+    # whatever the block rule says: one U @ psi per state, each state
+    # scanned in full
+    U = march.join(par, *sectors)
     amps = np.empty((steps + 1, index.size))
     norms = np.empty(steps + 1)
     finite = np.empty(steps + 1, dtype=bool)
@@ -479,7 +479,7 @@ def _one_step_march(setup, mode, psi, steps):
 
 def _one_step_result(monkeypatch, setup, f0, steps, mode):
     with monkeypatch.context() as m:
-        m.setattr(engine, "_march", _one_step_march)
+        m.setattr(march, "sector_march", _one_step_march)
         return engine.evolve_quantum_0d(setup, f0, steps, mode)
 
 
@@ -489,7 +489,7 @@ def test_blocked_march_matches_one_step_march(monkeypatch, qubits, mode):
     # 1500 steps at K = 64 (qc=2) and K = 32 (qc=3): 23 and 46 blocks
     # from products with U^K, the last one partial
     s = _setup(qubits)
-    assert engine._block_size(s.dim, 1500) == {2: 64, 3: 32}[qubits]
+    assert march.block_size(s.dim, 1500) == {2: 64, 3: 32}[qubits]
     res = engine.evolve_quantum_0d(s, F0, 1500, mode)
     ref = _one_step_result(monkeypatch, s, F0, 1500, mode)
     assert np.max(np.abs(res.decoded - ref.decoded)) <= 1e-12
@@ -499,20 +499,21 @@ def test_blocked_march_matches_one_step_march(monkeypatch, qubits, mode):
     )
 
 
-def _one_step_sector_march(setup, mode, psi, steps):
+def _one_step_sector_march(par, sectors, psi, index, steps):
     # the plain march on the two sector blocks of the propagator: one
-    # product with each block per state, read out through the same rows of
-    # the parity basis as the engine, over all states at once
-    even, odd = engine._sectors(setup, mode)
+    # product with each block per state, read out through the rows of the
+    # parity basis at index, over all states at once
+    even, odd = sectors
     e = len(even)
-    states = np.empty((steps + 1, setup.dim))
-    states[0] = engine._to_sectors(engine._parity(setup), psi)
+    states = np.empty((steps + 1, psi.size))
+    states[0] = march.to_sectors(par, psi)
     for t in range(1, steps + 1):
         states[t, :e] = even @ states[t - 1, :e]
         states[t, e:] = odd @ states[t - 1, e:]
     norms = np.sqrt(np.einsum("ij,ij->i", states, states))
     finite = np.all(np.isfinite(states), axis=1)
-    return states @ engine._sector_readout(setup), norms, finite
+    rows = march.to_sectors(par, np.eye(psi.size)[:, index])
+    return states @ rows, norms, finite
 
 
 def test_march_within_first_block_is_one_step_march(monkeypatch):
@@ -520,13 +521,13 @@ def test_march_within_first_block_is_one_step_march(monkeypatch):
     # sector block, as in the plain march on them, and U^K is never formed
     s = _setup(3)
     with monkeypatch.context() as m:
-        m.setattr(engine, "_march", _one_step_sector_march)
+        m.setattr(march, "sector_march", _one_step_sector_march)
         ref = engine.evolve_quantum_0d(s, F0, 40, "nonhermitian")
 
     def refuse(*args):
         raise AssertionError("U^K formed without a later block")
 
-    monkeypatch.setattr(engine, "_block_size", lambda n, steps: steps + 1)
+    monkeypatch.setattr(march, "block_size", lambda n, steps: steps + 1)
     monkeypatch.setattr(np.linalg, "matrix_power", refuse)
     res = engine.evolve_quantum_0d(s, F0, 40, "nonhermitian")
     assert np.array_equal(res.decoded, ref.decoded)
@@ -537,7 +538,7 @@ def test_march_within_first_block_is_one_step_march(monkeypatch):
     [(4096, 2, 1), (4096, 1000, 1), (512, 1500, 32), (64, 1500, 64)],
 )
 def test_block_rule(n, steps, K):
-    assert engine._block_size(n, steps) == K
+    assert march.block_size(n, steps) == K
 
 
 @pytest.mark.parametrize(
@@ -573,19 +574,6 @@ def _inversion(setup):
     return np.ravel_multi_index(occupations[swap], levels)
 
 
-def _parity_basis(pi):
-    # B^T, one row per sector coordinate: e_x for each fixed state, then
-    # (e_l + e_h)/sqrt 2 for each pair l < h = pi[l], then (e_l - e_h)/sqrt 2
-    n = len(pi)
-    states = np.arange(n)
-    fixed, low = states[pi == states], states[pi > states]
-    eye = np.eye(n)
-    pairs = eye[low], eye[pi[low]]
-    rows = (eye[fixed], (pairs[0] + pairs[1]) / np.sqrt(2.0),
-            (pairs[0] - pairs[1]) / np.sqrt(2.0))
-    return np.concatenate(rows), len(fixed) + len(low)
-
-
 @pytest.mark.parametrize(
     "name,qubits,even,odd",
     [("D1Q3", 1, 6, 2), ("D1Q3", 2, 40, 24), ("D1Q3", 3, 288, 224),
@@ -601,17 +589,17 @@ def test_generator_commutes_with_lattice_inversion(name, qubits, even, odd,
     pi = _inversion(s)
     size = np.linalg.norm(G)
     assert np.linalg.norm(G[np.ix_(pi, pi)] - G) <= 1e-13 * size
-    Bt, e = _parity_basis(pi)
+    Bt, e = oracles.parity_basis(pi)
     assert (e, s.dim - e) == (even, odd)
     par = engine._parity(s)
-    assert np.max(np.abs(engine._to_sectors(par, np.eye(s.dim)) - Bt)) <= 1e-15
+    assert np.max(np.abs(march.to_sectors(par, np.eye(s.dim)) - Bt)) <= 1e-15
     C = Bt @ G @ Bt.T
     between = np.linalg.norm(C[:e, e:]) + np.linalg.norm(C[e:, :e])
     assert between <= 1e-13 * size
-    blocks = engine._split(par, G)
+    blocks = march.split(par, G)
     assert np.max(np.abs(blocks[0] - C[:e, :e])) <= 1e-13 * size
     assert np.max(np.abs(blocks[1] - C[e:, e:])) <= 1e-13 * size
-    assert np.max(np.abs(engine._join(par, *blocks) - G)) <= 1e-13 * size
+    assert np.max(np.abs(march.join(par, *blocks) - G)) <= 1e-13 * size
 
 
 def test_dense_path_forms_no_register_wide_operator(monkeypatch):
@@ -652,7 +640,7 @@ def test_d2q9_sector_march_matches_dense_march(monkeypatch, mode):
     # sector blocks against one product with the dense U per state, and U,
     # joined from the blocks, against scipy's expm of the whole generator
     s = engine.make_setup(lattice.build_lattice("D2Q9"), 1)
-    assert engine._block_size(s.dim, 300) == 2
+    assert march.block_size(s.dim, 300) == 2
     want = scipy.linalg.expm(s.dt * engine.generator(s, mode))
     assert np.max(np.abs(engine.propagator(s, mode) - want)) <= 1e-14
     res = engine.evolve_quantum_0d(s, F0_D2Q9, 300, mode)
@@ -840,12 +828,22 @@ def test_relative_error_nan_sentinel():
     assert zeros == 1
 
 
-def _injected_setup(U):
-    # D1Q3 qc=1 (dim 8) marching a crafted propagator under its own clean
-    # certificate, so every flag comes from the per-step checks
+def _injected_march(U, steps):
+    # decoded values, norms and first flag of the D1Q3 qc=1 register
+    # (dim 8) marching a crafted operator split by its lattice inversion,
+    # through the shared march and check table at the engine's ratio bound
     s = _setup(1)
-    s._cache[("propagator", "nonhermitian")] = U
-    return s
+    par, index = engine._parity(s), engine._readout_index(s)
+    psi = engine.initial_state(s, F0)
+    amps, norms, finite = march.sector_march(
+        par, march.split(par, U), psi, index, steps
+    )
+    decoded = fock.ratio_decode(amps)
+    bound = engine.dissipation_factor(1.0, s.dt, s.tau, 3, 1)
+    flag = march.first_flag(
+        finite, norms, bound * engine.CERTIFICATE_MARGIN, amps[:, 0], decoded
+    )
+    return decoded, norms, flag
 
 
 _GROUND_OFF = np.diag([0.0] + [1.0] * 7)
@@ -879,12 +877,11 @@ _INJECTED = [
 def test_injected_propagator_flags_first_step(U, reason):
     # dim 8 at 100 steps gives K = 64: steps 64-100 come from products
     # with U^64, so NaN or overflow inside U^64 itself is marched too
-    assert engine._block_size(8, 100) == 64
-    res = engine.evolve_quantum_0d(_injected_setup(U), F0, 100)
-    assert res.flagged
-    assert (res.flag_step, res.flag_reason) == (1, reason)
-    assert res.decoded.shape == (101, 3) and res.norms.shape == (101,)
-    assert np.max(np.abs(res.decoded[0] - F0)) < 1e-13
+    assert march.block_size(8, 100) == 64
+    decoded, norms, flag = _injected_march(U, 100)
+    assert flag == (1, reason)
+    assert decoded.shape == (101, 3) and norms.shape == (101,)
+    assert np.max(np.abs(decoded[0] - F0)) < 1e-13
 
 
 def test_zero_steps_is_unflagged():
@@ -914,7 +911,7 @@ def test_march_at_one_state_per_block_copies_no_propagator():
     # march holds far less than one 2 MB copy of U or U.T
     s = _setup(3)
     engine.propagator(s, "hermitized")
-    assert engine._block_size(s.dim, 200) == 1
+    assert march.block_size(s.dim, 200) == 1
     tracemalloc.start()
     try:
         engine.evolve_quantum_0d(s, F0, 200, mode="hermitized")
