@@ -1,28 +1,26 @@
 """Carleman embedding of quadratic collision dynamics.
 
-The logistic scalar problem df/dt = -a f + b f^2 is the exactly solvable
-probe: its monomial chain d(f^k)/dt = -k a f^k + k b f^(k+1) closes only in
-the limit, and truncating at a finite order leaves an upper bidiagonal
-system whose first component converges to the true solution as the order
-grows.  The same construction applied to a vector of populations with a
-quadratic driving polynomial gives the general linearization, and the
-homogenized BGK relaxation closes exactly at order two on every lattice
-because the momentum enters the equilibrium only through a conserved square.
+One builder, `linearize`, turns a homogeneous polynomial driving into the
+linear generator on its monomials of degree 1..O_c, behind one guard: the
+basis must fit the largest dense matrix, linalg._MAX_DIM.  The logistic
+scalar problem df/dt = -a f + b f^2 is its one-variable case and the exactly
+solvable probe: the monomial chain d(f^k)/dt = -k a f^k + k b f^(k+1)
+closes only in the limit, and truncating at a finite order leaves an upper
+bidiagonal system whose first component converges to the true solution as
+the order grows.  On a vector of populations the homogenized BGK relaxation
+closes exactly at order two on every lattice, because the momentum enters
+the equilibrium only through a conserved square.
 """
 
 from dataclasses import dataclass, field
-from math import inf, log1p
+from math import comb, inf, log1p
 
 import numpy as np
 
 from . import classical
 from .errors import NonFinite, OmegaOutOfRange, SingularTime, TooLarge
 from .lattice import build_lattice
-from .linalg import expm
-
-_MAX_VARS = 9
-_MAX_DEGREE = 3
-_MAX_ORDER = 4
+from .linalg import _MAX_DIM, expm
 
 
 @dataclass(frozen=True)
@@ -121,21 +119,14 @@ class CarlemanSystem:
 
 
 def logistic_carleman_chain(p, kmax):
-    """Truncated monomial chain of the logistic problem.
+    """Truncated monomial chain of the logistic problem: `linearize` on one
+    variable.
 
     Variables are f^1..f^kmax; the generator is upper bidiagonal with
     diagonal -k a and superdiagonal k b, the k-th row losing its f^{k+1}
     feed when k = kmax.
     """
-    if kmax < 1:
-        raise ValueError(f"truncation order must be >= 1, got {kmax}")
-    C = np.zeros((kmax, kmax))
-    for k in range(1, kmax + 1):
-        C[k - 1, k - 1] = -k * p.a
-        if k < kmax:
-            C[k - 1, k] = k * p.b
-    variables = tuple((k,) for k in range(1, kmax + 1))
-    return CarlemanSystem(variables=variables, C=C)
+    return linearize({(1,): [-p.a], (2,): [p.b]}, kmax)
 
 
 def evolve_system(system, state0, dt, steps, method="exact"):
@@ -194,16 +185,22 @@ def linearize(driving, O_c):
     terms are rejected; homogenize them through the density first.  Rows
     are assembled by the product rule and any monomial pushed beyond
     degree O_c is dropped, which is the truncation.
+
+    The one size guard counts the comb(nvars + O_c, O_c) - 1 monomials
+    before enumerating them and raises TooLarge past linalg._MAX_DIM, so
+    one variable reaches order 4096, expm's own limit.
     """
     if O_c < 1:
         raise ValueError(f"truncation order must be >= 1, got {O_c}")
-    if O_c > _MAX_ORDER:
-        raise TooLarge(f"truncation order {O_c} exceeds {_MAX_ORDER}")
     if not driving:
         raise ValueError("driving polynomial is empty")
     nvars = len(next(iter(driving)))
-    if nvars > _MAX_VARS:
-        raise TooLarge(f"{nvars} variables exceed {_MAX_VARS}")
+    size = comb(nvars + O_c, O_c) - 1
+    if size > _MAX_DIM:
+        raise TooLarge(
+            f"Carleman basis of order {O_c} has {size} monomials, "
+            f"more than {_MAX_DIM}"
+        )
     terms = {}
     for e, coeff in driving.items():
         e = tuple(int(x) for x in e)
@@ -211,13 +208,10 @@ def linearize(driving, O_c):
             raise ValueError("inconsistent exponent tuple lengths")
         if any(x < 0 for x in e):
             raise ValueError(f"negative exponent in {e}")
-        deg = sum(e)
-        if deg == 0:
+        if sum(e) == 0:
             raise ValueError(
                 "driving must be homogeneous: constant term not allowed"
             )
-        if deg > _MAX_DEGREE:
-            raise TooLarge(f"monomial degree {deg} exceeds {_MAX_DEGREE}")
         coeff = np.asarray(coeff, dtype=float)
         if coeff.shape != (nvars,):
             raise ValueError(f"coefficient vector must have shape ({nvars},)")

@@ -27,8 +27,12 @@ class Parity(NamedTuple):
 
 
 def parity(image):
-    """The Parity of the involution Pi with Pi x = image[x]."""
+    """The Parity of the involution Pi with Pi x = image[x].  Raises
+    ValueError unless image is an involution of range(n)."""
     states = np.arange(image.size)
+    inside = np.all((image >= 0) & (image < image.size))
+    if not (inside and np.array_equal(image[image], states)):
+        raise ValueError(f"{image} is not an involution of range({image.size})")
     low = states[states < image]
     fixed = states[states == image]
     order = np.concatenate((fixed, low, image[low]))

@@ -133,23 +133,38 @@ def test_evolve_system_guards():
         carleman.evolve_system(sys2, np.ones(2), 0.01, 2, method="rk4")
 
 
-def test_linearize_reproduces_logistic_chain():
+@pytest.mark.parametrize("kmax", [1, 4, 1200])
+def test_logistic_chain_is_closed_form(kmax):
+    # diagonal -k a and superdiagonal k b, bit for bit, sign bits included
     p = carleman.LogisticParams(a=1.3, b=0.4, f0=0.05)
-    driving = {(1,): np.array([-p.a]), (2,): np.array([p.b])}
-    sys_d = carleman.linearize(driving, 4)
-    sys_c = carleman.logistic_carleman_chain(p, 4)
-    assert sys_d.variables == sys_c.variables
-    assert np.max(np.abs(sys_d.C - sys_c.C)) < 1e-15
+    k = np.arange(1, kmax + 1)
+    want = np.diag(-k * p.a) + np.diag(k[:-1] * p.b, 1)
+    chain = carleman.logistic_carleman_chain(p, kmax)
+    assert np.array_equal(chain.C, want)
+    assert np.array_equal(np.signbit(chain.C), np.signbit(want))
+    assert chain.variables == tuple((j,) for j in k)
 
 
-def test_linearize_guards():
-    one = {(1,): np.array([-1.0])}
+def test_linearize_guards(monkeypatch):
+    # the basis size is counted before anything is enumerated: one variable
+    # to order 4097, and 27 variables to order 4 (31,464 monomials)
+    def enumerated(*args):
+        raise AssertionError("monomial basis enumerated past the guard")
+
+    with monkeypatch.context() as m:
+        m.setattr(carleman, "monomial_basis", enumerated)
+        with pytest.raises(TooLarge, match="has 4097 monomials"):
+            carleman.linearize({(1,): np.array([-1.0])}, 4097)
+        with pytest.raises(TooLarge, match="has 31464 monomials"):
+            carleman.linearize({(1,) + (0,) * 26: np.ones(27)}, 4)
+    # ten variables, a degree-10 term, to order 2: 10 + 55 rows
+    system = carleman.linearize({(1,) * 10: np.ones(10)}, 2)
+    assert system.C.shape == (65, 65)
+    # the guard's edge, on a lowered limit: order 10 fits ten rows, 11 not
+    monkeypatch.setattr(carleman, "_MAX_DIM", 10)
+    assert carleman.logistic_carleman_chain(P_SMALL, 10).C.shape == (10, 10)
     with pytest.raises(TooLarge):
-        carleman.linearize(one, 5)
-    with pytest.raises(TooLarge):
-        carleman.linearize({(1,) * 10: np.ones(10)}, 2)
-    with pytest.raises(TooLarge):
-        carleman.linearize({(4,): np.array([1.0])}, 2)
+        carleman.logistic_carleman_chain(P_SMALL, 11)
     with pytest.raises(ValueError):
         carleman.linearize({(0,): np.array([1.0])}, 2)
     with pytest.raises(ValueError):
@@ -224,10 +239,11 @@ def test_bgk_driving_homogenizes_bgk_rate():
         assert np.array_equal(_rate(rate, zero), model.weights / 0.7)
 
 
-def test_order_two_bgk_closure_is_exact_d2q9():
+@pytest.mark.parametrize("name", ["D2Q9", "D3Q27"])
+def test_order_two_bgk_closure_is_exact(name):
     # the momentum is conserved and enters feq only through its square, so
     # the truncated degree-3 feeds cancel and feq stays at its initial value
-    model = lattice.build_lattice("D2Q9")
+    model = lattice.build_lattice(name)
     tau, dt, steps = 0.9, 1e-3, 1500
     system = carleman.linearize(carleman.bgk_driving(model, tau), 2)
     f0 = np.random.default_rng(11).uniform(0.05, 0.5, size=model.Q)

@@ -375,6 +375,9 @@ _BAD_RUNS = (
         ("complexity", ["b=400"], "x.csv", "numeric guard:"),
         ("complexity", [f"T={10**80}"], "x.csv", "numeric guard:"),
         ("carleman", ["b=1e-300", "f0=1e300"], "x.csv", "numeric guard:"),
+        # a chain past the largest dense matrix, refused before it is built
+        ("carleman", ["orders=4097", "method=euler"], "x.csv", "numeric guard:"),
+        ("carleman", ["orders=4097", "method=exact"], "x.csv", "numeric guard:"),
         # no position qubit, and a D whose 3**D would never finish
         ("complexity", ["G=1"], "x.csv", "config error:"),
         ("complexity", ["D=1000000000"], "x.csv", "config error:"),

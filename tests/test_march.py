@@ -105,3 +105,13 @@ def test_split_join_round_trip_on_random_involution():
     assert np.max(np.abs(even - C[:e, :e])) <= 1e-13
     assert np.max(np.abs(odd - C[e:, e:])) <= 1e-13
     assert np.max(np.abs(march.join(par, even, odd) - M)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "image",
+    [[1, 2, 0], [1, 0, 5], [-4, 1, 2]],
+    ids=["cycle", "out-of-range", "negative"],
+)
+def test_parity_refuses_a_non_involution(image):
+    with pytest.raises(ValueError, match="not an involution"):
+        march.parity(np.array(image))

@@ -38,9 +38,6 @@ _KEPT_FOR_TESTS = {
     "pauli.sigma_minus": _PAULI,
     "pauli.sigma_plus": _PAULI,
     "pauli.term_stats": _PAULI,
-    "carleman.linearize": _CARLEMAN,
-    "carleman.monomial_basis": _CARLEMAN,
-    "carleman._exponents": _CARLEMAN,
     "carleman.bgk_driving": _CARLEMAN,
     "carleman.clb_closed_d1q3": _CARLEMAN,
     "errors.OmegaOutOfRange": "raised by carleman.clb_closed_d1q3",
