@@ -58,14 +58,9 @@ def epsilon_table(nmax):
     return vals[N - 1, k], _GRID[k]
 
 
-def epsilon_N_detail(N):
-    """(value, argmax) of the level-N defect sup; see epsilon_table."""
-    vals, args = epsilon_table(N)
-    return float(vals[-1]), float(args[-1])
-
-
 def epsilon_N(N):
-    return epsilon_N_detail(N)[0]
+    """The level-N defect sup; see epsilon_table."""
+    return float(epsilon_table(N)[0][-1])
 
 
 def polynomial_coefficients(Q):

@@ -249,21 +249,21 @@ def cmd_quantum(config):
         header += [f"{tag}_f{i}" for i in range(model.Q)]
         header += [f"{tag}_relerr", f"{tag}_flag"]
         flag = np.zeros(steps + 1)
-        if res.flagged:
+        if res.flag_step is not None:
             flag[res.flag_step:] = 1.0
         columns += [res.decoded, res.rel_err, flag]
     table = np.column_stack(columns)
     write_csv(config["out"], header, table)
     for qc, method, res in runs:
         note = f"flagged at step {res.flag_step}: {res.flag_reason}" if (
-            res.flagged
+            res.flag_step is not None
         ) else "clean"
         print(
             f"quantum {method} qc={qc}: final relative error "
             f"{res.rel_err[-1]:.6g}, {note}"
         )
     print(f"quantum: wrote {len(table)} rows to {config['out']}")
-    return 4 if any(res.flagged for _, _, res in runs) else 0
+    return 4 if any(res.flag_step is not None for _, _, res in runs) else 0
 
 
 def cmd_carleman(config):

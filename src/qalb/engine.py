@@ -50,15 +50,6 @@ CERTIFICATE_MARGIN = 1.01
 MODES = ("nonhermitian", "hermitized")
 
 
-def phase_space_divergence(model, tau):
-    """Divergence of the collision flow in population space, -(Q - D)/tau.
-
-    The linear part of the relaxation contracts the Q populations while the
-    D conserved momenta are neutral directions.
-    """
-    return -(model.Q - model.D) / tau
-
-
 def dissipation_factor(T, dt, tau, Q, D):
     """Norm compensation e^{T dt (Q - D) / (2 tau)} after T (array) steps."""
     return np.exp(T * dt * (Q - D) / (2.0 * tau))
@@ -107,10 +98,6 @@ class CollisionSetup:
     @property
     def modes(self):
         return self.model.Q
-
-    @property
-    def total_qubits(self):
-        return self.model.Q * self.cfg.qubits
 
     @property
     def dim(self):
@@ -165,13 +152,6 @@ def _kron_sum(terms, factors):
         out[a, :, b] += F[a, b, None, None] * R
     m, p, n, q = out.shape
     return out.reshape(m * p, n * q)
-
-
-def omega_operator(setup, i):
-    """BGK relaxation generator of population i,
-    -(1/tau)(q_i - feq_i(u_hat))."""
-    rate = classical.bgk_rate(setup.model, setup.tau)
-    return _kron_sum(_terms(rate, i), _factors(setup.cfg))
 
 
 def generator(setup, mode):
@@ -603,13 +583,6 @@ def _readout_index(setup):
     return np.concatenate(([0], setup.cfg.levels ** np.arange(Q - 1, -1, -1)))
 
 
-def decode_state(setup, psi):
-    """Per-mode value readout from the amplitude ratio against the joint
-    ground amplitude.  Returns (values, ok): when the ground amplitude is
-    exactly zero the values are NaN and ok is False."""
-    return fock.ratio_decode(psi[_readout_index(setup)]), bool(psi[0] != 0.0)
-
-
 def collision_increments(setup, psi):
     """Decoded rate of change of each population under its own generator
     term -i p_m Omega_m = P_m Omega_m: d/dt (psi_s / psi_0), the ratio
@@ -698,6 +671,5 @@ def evolve_quantum_0d(setup, f0, steps, mode="nonhermitian", init="exact"):
     return march.EvolutionResult(
         times=np.arange(steps + 1) * dt, decoded=decoded, norms=norms,
         norms_corrected=norms_corr, classical=cls, rel_err=rel,
-        mass=decoded.sum(axis=1), flagged=flag_step is not None,
         flag_step=flag_step, flag_reason=flag_reason,
     )

@@ -51,10 +51,6 @@ def a_matrix(cfg):
     return a
 
 
-def number_matrix(cfg):
-    return np.diag(np.arange(cfg.levels, dtype=float))
-
-
 def q_matrix(cfg):
     a = a_matrix(cfg)
     return (a + a.T) / sqrt(2.0)

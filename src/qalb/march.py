@@ -192,7 +192,5 @@ class EvolutionResult:
     norms_corrected: np.ndarray
     classical: np.ndarray  # the BGK map at the same dt, in closed form
     rel_err: np.ndarray  # max component relative error per step
-    mass: np.ndarray
-    flagged: bool
-    flag_step: Optional[int]
+    flag_step: Optional[int]  # None when the run is clean
     flag_reason: Optional[str]

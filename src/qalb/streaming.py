@@ -84,13 +84,11 @@ class RegisterLayout:
     """Qubit map of a streaming register.
 
     Most significant first: the per-axis position blocks, then the
-    per-axis two-bit direction codes, then any payload qubits.  Payload
-    amplitudes ride along untouched; grid sizes must be powers of two so
+    per-axis two-bit direction codes.  Grid sizes must be powers of two so
     binary overflow realizes the periodic wrap.
     """
 
     grid_dims: tuple
-    payload_qubits: int = 0
 
     def __post_init__(self):
         dims = tuple(int(n) for n in self.grid_dims)
@@ -99,8 +97,6 @@ class RegisterLayout:
         for n in dims:
             if n < 2 or n & (n - 1) != 0:
                 raise ValueError(f"grid sizes must be powers of two, got {n}")
-        if self.payload_qubits < 0:
-            raise ValueError("payload qubit count must be non-negative")
         object.__setattr__(self, "grid_dims", dims)
 
     @property
@@ -126,12 +122,8 @@ class RegisterLayout:
         return tuple(acc + 2 * d for d in range(self.ndim))
 
     @property
-    def payload_offset(self):
-        return sum(self.position_bits) + 2 * self.ndim
-
-    @property
     def total_qubits(self):
-        return self.payload_offset + self.payload_qubits
+        return sum(self.position_bits) + 2 * self.ndim
 
     @property
     def dim(self):
@@ -231,7 +223,7 @@ def stream_state(state, layout):
 
 
 def site_index(layout, site, velocity):
-    """Basis index of a (site, direction) state, payload grounded.
+    """Basis index of a (site, direction) state.
 
     `site` holds one coordinate per axis, each an int or an integer array
     (as from `np.indices(layout.grid_dims)`); ints give a Python int,
@@ -250,11 +242,11 @@ def site_index(layout, site, velocity):
         raise ValueError(f"a {layout.total_qubits}-qubit index overflows int64")
     for c in velocity:
         index = (index << 2) | direction_code(c)
-    return index << layout.payload_qubits
+    return index
 
 
 def decode_index(layout, index):
-    """(site, velocity) of a basis index; payload bits ignored."""
+    """(site, velocity) of a basis index."""
     if not 0 <= index < layout.dim:
         raise ValueError(f"index {index} outside register of {layout.dim}")
     n = layout.total_qubits

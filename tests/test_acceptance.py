@@ -145,7 +145,6 @@ def quantum_runs():
 
 def test_criterion_05a_nonhermitian_qc4_flags(quantum_runs):
     res = quantum_runs["nh4"]
-    assert res.flagged
     assert res.flag_step is not None and res.flag_step <= 2
     assert quantum_runs["t_qc4"] < 600.0
     print(f"ACCEPTANCE 5a PASS: non-Hermitian qc=4 flagged at step "
@@ -161,15 +160,15 @@ def test_qc4_short_march_matches_dense_products(quantum_runs):
     A = scipy.sparse.csr_array(s4.dt * engine.generator(s4, "nonhermitian"))
     psi = engine.initial_state(s4, F0, init="exact")
     for t in range(3):
-        values, ok = engine.decode_state(s4, psi)
-        assert ok and np.max(np.abs(res.decoded[t] - values)) <= 1e-13
+        values = fock.ratio_decode(psi[engine._readout_index(s4)])
+        assert psi[0] != 0.0 and np.max(np.abs(res.decoded[t] - values)) <= 1e-13
         assert abs(res.norms[t] / np.linalg.norm(psi) - 1.0) <= 1e-13
         psi = scipy.sparse.linalg.expm_multiply(A, psi)
 
 
 def test_criterion_05b_nonhermitian_qc2_tracks(quantum_runs):
     res = quantum_runs["nh2"]
-    assert not res.flagged
+    assert res.flag_step is None
     assert float(np.nanmax(res.rel_err)) < 0.25
     assert quantum_runs["t_nh2"] < 60.0
     print(f"ACCEPTANCE 5b PASS: non-Hermitian qc=2 relative error peaks at "

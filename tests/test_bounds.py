@@ -15,10 +15,9 @@ def test_epsilon_frozen_values():
     assert abs(bounds.epsilon_N(1) - 1.0 / (2.0 * math.sqrt(2.0))) < 1e-7
     assert abs(bounds.epsilon_N(2) - 1.0 / (2.0 * math.sqrt(2.0))) < 1e-7
     assert abs(bounds.epsilon_N(3) - math.sqrt(3.0) / 8.0) < 1e-7
-    val, arg = bounds.epsilon_N_detail(2)
-    assert abs(abs(arg) - 1.0) < 1e-3
-    _, arg3 = bounds.epsilon_N_detail(3)
-    assert abs(arg3) < 1e-3
+    _, args = bounds.epsilon_table(3)
+    assert abs(abs(args[1]) - 1.0) < 1e-3
+    assert abs(args[2]) < 1e-3
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 20, 170, 171, 300])
@@ -26,7 +25,8 @@ def test_epsilon_matches_high_precision(N):
     # sqrt(N+1) |He_{N+1}(x)| / (sqrt((N+1)!) 2^(N/2+1)) at 50 digits, at
     # the argmax the float evaluation returns; past N = 170 (N+1)! is out
     # of float range, so a float formula built on it reads 0 or NaN
-    val, arg = bounds.epsilon_N_detail(N)
+    vals, args = bounds.epsilon_table(N)
+    val, arg = vals[-1], args[-1]
     n = N + 1
     with mpmath.workdps(50):
         x = mpmath.mpf(arg)

@@ -317,7 +317,6 @@ def test_quantum_flagged_exit_code(tmp_path, monkeypatch):
 
     def flagged(*args, **kwargs):
         res = real(*args, **kwargs)
-        res.flagged = True
         res.flag_step = 1
         res.flag_reason = "norm growth monitor"
         return res

@@ -44,10 +44,8 @@ def _basis(n, k):
 def test_number_operator():
     cfg = fock.FockConfig(3)
     a = fock.a_matrix(cfg)
-    adag = a.T
-    n_op = fock.number_matrix(cfg)
-    assert np.max(np.abs(n_op - adag @ a)) < 1e-14
-    assert np.array_equal(np.diag(n_op), np.arange(8.0))
+    n_op = a.T @ a
+    assert np.max(np.abs(n_op - np.diag(np.arange(8.0)))) < 1e-14
 
 
 def test_commutator_truncation_defect():

@@ -91,18 +91,16 @@ def test_increment_wraps():
 
 
 def test_layout_properties():
-    lay = streaming.RegisterLayout((8, 4), payload_qubits=2)
+    lay = streaming.RegisterLayout((8, 4))
     assert lay.position_bits == (3, 2)
     assert lay.position_offsets == (0, 3)
     assert lay.direction_offsets == (5, 7)
-    assert lay.payload_offset == 9
-    assert lay.total_qubits == 11
+    assert lay.total_qubits == 9
+    assert lay.dim == 512
     with pytest.raises(ValueError):
         streaming.RegisterLayout((6,))
     with pytest.raises(ValueError):
         streaming.RegisterLayout(())
-    with pytest.raises(ValueError):
-        streaming.RegisterLayout((4,), payload_qubits=-1)
 
 
 def test_axis_block_codes():
@@ -136,11 +134,9 @@ def test_site_round_trip():
             streaming.decode_index(lay, lay.dim)
 
 
-@pytest.mark.parametrize(
-    "dims, payload, model", [((4, 4), 1, D2Q9), ((4, 4, 4), 0, D3Q27)]
-)
-def test_site_index_of_arrays_matches_scalars(dims, payload, model):
-    lay = streaming.RegisterLayout(dims, payload_qubits=payload)
+@pytest.mark.parametrize("dims, model", [((4, 4), D2Q9), ((4, 4, 4), D3Q27)])
+def test_site_index_of_arrays_matches_scalars(dims, model):
+    lay = streaming.RegisterLayout(dims)
     sites = np.indices(dims)
     for v in model.velocities.tolist():
         index = streaming.site_index(lay, sites, v)
@@ -156,8 +152,11 @@ def test_site_index_of_arrays_matches_scalars(dims, payload, model):
 
 
 def test_site_index_array_guards_int64_overflow():
-    lay = streaming.RegisterLayout((4,), payload_qubits=62)
-    assert streaming.site_index(lay, (3,), (1,)) == 0b11_11 << 62
+    # 62 position qubits and one two-bit code: 64 qubits, whose top index
+    # a Python int holds and an int64 array does not
+    lay = streaming.RegisterLayout((2**62,))
+    assert lay.total_qubits == 64
+    assert streaming.site_index(lay, (2**62 - 1,), (1,)) == 2**64 - 1
     with pytest.raises(ValueError):
         streaming.site_index(lay, (np.arange(4),), (1,))
 
@@ -217,15 +216,6 @@ def test_apply_circuit_is_permutation():
     assert sorted(np.abs(out)) == pytest.approx(sorted(np.abs(state)))
 
 
-def test_payload_rides_along():
-    lay = streaming.RegisterLayout((4,), payload_qubits=1)
-    payload = 1 << (lay.total_qubits - 1 - lay.payload_offset)
-    start = streaming.site_index(lay, (2,), (1,)) | payload
-    moved = _moved(lay, streaming.stream_circuit(lay), start)
-    assert streaming.decode_index(lay, moved) == ((3,), (1,))
-    assert moved & payload
-
-
 def test_apply_circuit_guards():
     lay = streaming.RegisterLayout((4,))
     with pytest.raises(ValueError):
@@ -238,7 +228,7 @@ def test_apply_circuit_guards():
 
 
 def test_compiled_map_is_cached_and_read_only():
-    lay = streaming.RegisterLayout((4, 4), payload_qubits=1)
+    lay = streaming.RegisterLayout((4, 4))
     steps = tuple(streaming.stream_circuit(lay))
     src = streaming._source_index(lay, steps)
     assert streaming._source_index(lay, steps) is src
@@ -361,7 +351,7 @@ def _apply_gate_by_gate(state, layout, steps):
 
 @pytest.mark.parametrize("dims", [(8,), (4, 4)])
 def test_apply_circuit_matches_gate_by_gate(dims):
-    lay = streaming.RegisterLayout(dims, payload_qubits=1)
+    lay = streaming.RegisterLayout(dims)
     rng = np.random.default_rng(14)
     circuits = [
         streaming.stream_circuit(lay),

@@ -3,13 +3,15 @@ assigns a local it never reads, no class defines a method, property or
 dataclass field that nothing reads, no module defines a top-level
 function, class or constant that nothing references, and every top-level
 function or class in src/, and every method or property of such a class,
-is reached by a run or named in `_KEPT_FOR_TESTS` with the reason it stays.
+is reached by a run or named in `_KEPT_FOR_TESTS` with the reason it stays,
+a reason that cites an acceptance criterion or a ROADMAP item by number.
 
 A stand-in for a linter's unused-import, unused-variable and dead-code
 rules, read from each module's syntax tree so it runs without extra packages.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -22,33 +24,35 @@ _DEFINITIONS = _FUNCTIONS + (ast.ClassDef,)
 
 # Top-level functions and classes of src/ that no run reaches, each with
 # the reason it stays in the package rather than among the test oracles:
-# a program path is planned for it, or a kept name needs it.  A kept class
-# keeps its methods and properties.
-_PAULI = "Pauli compilation, for a compile report (acceptance criterion 3)"
-_CARLEMAN = "Carleman embedding of the BGK rate (acceptance criterion 1)"
+# an acceptance criterion calls it, or a ROADMAP item plans its program
+# path, cited by number.  A kept class keeps its methods and properties.
+_PAULI = (
+    "compiles a, q and p for acceptance criterion 3 and the register "
+    "pricing of ROADMAP item 20"
+)
+_CLOSURE = "the closed D1Q3 Carleman map of acceptance criterion 1"
 _KEPT_FOR_TESTS = {
     "pauli.PauliSum": _PAULI,
-    "pauli.PauliWord": _PAULI,
     "pauli._canonical": _PAULI,
     "pauli.a_pauli": _PAULI,
-    "pauli.compile_number": _PAULI,
     "pauli.p_pauli": _PAULI,
     "pauli.pauli_to_dense": _PAULI,
     "pauli.q_pauli": _PAULI,
-    "pauli.sigma_minus": _PAULI,
-    "pauli.sigma_plus": _PAULI,
     "pauli.term_stats": _PAULI,
-    "carleman.bgk_driving": _CARLEMAN,
-    "carleman.clb_closed_d1q3": _CARLEMAN,
-    "errors.OmegaOutOfRange": "raised by carleman.clb_closed_d1q3",
-    "bounds.epsilon_N": "one level of the defect table, for a leakage row",
-    "bounds.epsilon_N_detail": "epsilon_N with its argmax",
-    "engine.collision_increments": "decoded per-mode rates of one register",
-    "engine.omega_operator": "one population's generator, built alone",
-    "engine.decode_state": "the decode of one full register state",
-    "engine.phase_space_divergence": "the exact divergence the engine matches",
-    "fock.number_matrix": "the matrix pauli.compile_number compiles",
+    "carleman.bgk_driving": "the driving of the register of ROADMAP item 18",
+    "carleman.clb_closed_d1q3": _CLOSURE,
+    "errors.OmegaOutOfRange": "raised by " + _CLOSURE,
+    "bounds.epsilon_N": (
+        "the defect of acceptance criterion 8, for the leakage row of "
+        "ROADMAP item 8"
+    ),
+    "engine.collision_increments": (
+        "gets its program path in ROADMAP item 3, or goes"
+    ),
 }
+
+# An acceptance criterion or a ROADMAP item, cited by number.
+_CITATION = re.compile(r"\b(criterion|item) (\d+)\b")
 
 
 def _is_dunder(name):
@@ -348,6 +352,35 @@ def test_every_src_name_reached_or_kept():
     ) == []
 
 
+def uncited_reasons(kept, known):
+    """Kept names whose reason cites no number in `known`, which maps
+    "criterion" and "item" to the numbers that exist."""
+    return [
+        qual
+        for qual, reason in kept.items()
+        if not any(
+            int(number) in known[kind]
+            for kind, number in _CITATION.findall(reason)
+        )
+    ]
+
+
+def test_every_kept_reason_cites_a_criterion_or_item():
+    acceptance = (_ROOT / "tests" / "test_acceptance.py").read_text()
+    roadmap = (_ROOT / "ROADMAP.md").read_text().partition("## Open items")[2]
+    # an item opens with its number, an optional *(tag)* and a bold title
+    patterns = {
+        "criterion": (r"^def test_criterion_(\d+)", acceptance),
+        "item": (r"^(\d+)\. (?:\*\([^)]*\)\* )?\*\*", roadmap),
+    }
+    known = {
+        kind: {int(n) for n in re.findall(pattern, text, re.M)}
+        for kind, (pattern, text) in patterns.items()
+    }
+    assert known["criterion"] and known["item"]
+    assert uncited_reasons(_KEPT_FOR_TESTS, known) == []
+
+
 def test_checks_catch_unused_names():
     tree = ast.parse(
         "from math import sqrt\n"
@@ -476,3 +509,15 @@ def test_reachability_check_catches_unreached_and_stale():
         "mod.gone is kept but not defined",
         "mod.helper is kept but reached",
     ]
+
+
+def test_citation_check_catches_uncited_reasons():
+    kept = {
+        "a.cited": "pinned by acceptance criterion 3",
+        "a.item": "planned in ROADMAP item 20",
+        "a.vague": "one population's generator, built alone",
+        "a.missing": "pinned by criterion 99",
+        "a.wrong_kind": "planned in criterion 20",
+    }
+    known = {"criterion": {3}, "item": {20}}
+    assert uncited_reasons(kept, known) == ["a.vague", "a.missing", "a.wrong_kind"]
